@@ -8,7 +8,8 @@ files fail loudly instead of half-loading.
 
 Version 2 adds the evidence gate of evidential models (``gate``: the
 logit means, per-dimension scale and onset of ``head.EvidenceGate``, or
-null for the plain softplus head).
+null for the plain softplus head).  Version 3 drops the annealing schedule
+of the last training epoch, which nothing read after training.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ from . import mlp
 from .calibration import ThresholdCalibration
 from .errors import DataError
 from .head import EvidenceGate
-from .losses import Schedule
 from .training import Model, TrainConfig
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _CHECKPOINT_KEYS = {
     "format_version",
@@ -35,7 +35,6 @@ _CHECKPOINT_KEYS = {
     "mlp",
     "params",
     "objective",
-    "schedule",
     "train_config",
     "dataset_fingerprint",
     "calibration",
@@ -127,12 +126,6 @@ def save_checkpoint(
             "biases": [encode_array(b) for b in model.params.biases],
         },
         "objective": model.objective,
-        "schedule": {
-            "epoch": model.schedule.epoch,
-            "anneal_epochs": model.schedule.anneal_epochs,
-            "kl_weight": model.schedule.kl_weight,
-            "temperature": model.schedule.temperature,
-        },
         "train_config": {
             "epochs": train_config.epochs,
             "learning_rate": train_config.learning_rate,
@@ -192,12 +185,6 @@ def load_checkpoint(path) -> tuple[Model, TrainConfig, str, ThresholdCalibration
         weights=[decode_array(w) for w in obj["params"]["weights"]],
         biases=[decode_array(b) for b in obj["params"]["biases"]],
     )
-    sched = Schedule(
-        epoch=obj["schedule"]["epoch"],
-        anneal_epochs=obj["schedule"]["anneal_epochs"],
-        kl_weight=obj["schedule"]["kl_weight"],
-        temperature=obj["schedule"]["temperature"],
-    )
     calib = (
         ThresholdCalibration.from_dict(obj["calibration"])
         if obj["calibration"] is not None
@@ -207,7 +194,6 @@ def load_checkpoint(path) -> tuple[Model, TrainConfig, str, ThresholdCalibration
         config=cfg,
         params=params,
         objective=obj["objective"],
-        schedule=sched,
         threshold=calib.threshold if calib is not None else None,
         gate=_decode_gate(obj["gate"], cfg.output_dim, path),
     )

@@ -30,7 +30,7 @@ from .checkpoint import (
     save_checkpoint,
     save_report,
 )
-from .data import gen_blobs, gen_ood, load_csv, save_csv, split_622
+from .data import OOD_LABEL, gen_blobs, gen_ood, load_csv, save_csv, split_622
 from .errors import DataError, NumericError
 from .metrics import evaluate, ood_detection_rate
 from .records import from_scores
@@ -229,6 +229,8 @@ TRAIN_DEFAULTS = dict(
 def cmd_train(args) -> int:
     args = _resolve(args, TRAIN_DEFAULTS)
     train_set = load_csv(args.train_csv, name="train")
+    if train_set.n_classes < 2:
+        raise DataError(f"train: {args.train_csv} needs labelled rows of >= 2 classes")
     val_set = load_csv(args.val_csv, name="val") if args.val_csv else None
     cfg = TrainConfig(
         epochs=args.epochs,
@@ -253,10 +255,7 @@ def cmd_train(args) -> int:
     stem = args.out[:-5] if args.out.endswith(".json") else args.out
     for i, (params, ep) in enumerate(zip(result.snapshots, result.snapshot_epochs)):
         snap_model = Model(
-            config=result.model.config,
-            params=params,
-            objective=result.model.objective,
-            schedule=result.model.schedule,
+            config=result.model.config, params=params, objective=result.model.objective
         )
         save_checkpoint(f"{stem}.snap{i}.json", snap_model, cfg, fingerprint)
     with open(stem + ".log.jsonl", "w") as fh:
@@ -324,6 +323,11 @@ def cmd_eval(args) -> int:
     args = _resolve(args, EVAL_DEFAULTS)
     model, _, _, cal = load_checkpoint(args.checkpoint)
     test_set = load_csv(args.test_csv, name="test")
+    if np.any(test_set.labels == OOD_LABEL):
+        raise DataError(
+            f"eval: {args.test_csv} has OOD rows, which have no class to score; "
+            "use `evos ood-eval` for them"
+        )
     method = _auto_method(model) if args.method == "auto" else args.method
     snapshots = _load_snapshots(args.checkpoint) if method == "ensemble" else None
     recs = _method_records(method, model, snapshots, test_set, args)

@@ -2,19 +2,21 @@
 
 All losses are written directly in alpha-space.  ``alpha`` is a (n, K) or
 (K,) float64 array with entries >= 1; ``y`` is a one-hot array of the same
-shape.  Per-sample losses are returned (no mean reduction); the trainer
-averages over the batch.
+shape.  Per-sample losses are returned (no mean reduction); ``objective``
+averages over the batch and carries the gradient back to the logits.
 
 The three trainable objectives are
 
-    standard_ce : plain cross-entropy on softmax probabilities (handled in
-                  the trainer; this module only provides ``ce_loss``),
+    standard_ce : plain cross-entropy on softmax probabilities,
     un          : expected cross-entropy under the Dirichlet plus an
                   annealed KL regularizer toward the uniform Dirichlet,
     tun         : ``un`` plus a temperature-scaled belief cross-entropy.
 
-The KL term sees an "adjusted" concentration in which the true class is
-reset to 1, so only misleading (off-class) evidence is penalized.
+Each loss kind is a sum of terms (``_KINDS``); a term returns its value and
+alpha-gradient together, and the terms of one call share S, psi(alpha) and
+psi'(alpha).  The KL term sees an "adjusted" concentration in which the
+true class is reset to 1, so only misleading (off-class) evidence is
+penalized.
 """
 
 from __future__ import annotations
@@ -23,11 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import digamma, log_gamma, trigamma
+from .numerics import digamma, log_gamma, sigmoid, softmax, softplus, trigamma
 
 PROB_FLOOR = 1e-12  # clamp for logs of probabilities / beliefs
-
-LOSS_KINDS = ("ce", "unce", "kl", "un", "tce", "tun")
 
 
 @dataclass(frozen=True)
@@ -67,13 +67,18 @@ def _check_pair(a: np.ndarray, y: np.ndarray):
         raise ValueError("labels must be one-hot")
 
 
+def _check_temperature(temperature: float):
+    if not 0.0 < temperature <= 1.0:
+        raise ValueError("temperature must be in (0, 1]")
+
+
 def ce_loss(probs, y):
     """Cross-entropy -sum_k y_k ln p_k with p clamped at 1e-12."""
     p = np.asarray(probs, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if p.shape != y.shape:
         raise ValueError("probs and labels must have the same shape")
-    return -np.sum(y * np.log(np.clip(p, PROB_FLOOR, None)), axis=-1)
+    return _ce_value(p, y)
 
 
 def evidential_ce(alpha, y):
@@ -82,8 +87,7 @@ def evidential_ce(alpha, y):
     a = np.asarray(alpha, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_pair(a, y)
-    strength = a.sum(axis=-1, keepdims=True)
-    return np.sum(y * (digamma(strength) - digamma(a)), axis=-1)
+    return _loss_and_grad("unce", a, y, None)[0]
 
 
 def adjusted_alpha(alpha, y):
@@ -94,7 +98,7 @@ def adjusted_alpha(alpha, y):
     a = np.asarray(alpha, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_pair(a, y)
-    return y + (1.0 - y) * a
+    return _adjust(a, y)
 
 
 def kl_to_uniform(alpha_hat):
@@ -103,19 +107,7 @@ def kl_to_uniform(alpha_hat):
     a = np.asarray(alpha_hat, dtype=np.float64)
     if np.any(a < 1.0) or not np.all(np.isfinite(a)):
         raise ValueError("kl_to_uniform: alpha_hat must be finite and >= 1")
-    k = a.shape[-1]
-    total = a.sum(axis=-1, keepdims=True)
-    return (
-        log_gamma(np.squeeze(total, axis=-1))
-        - log_gamma(float(k))
-        - np.sum(log_gamma(a), axis=-1)
-        + np.sum((a - 1.0) * (digamma(a) - digamma(total)), axis=-1)
-    )
-
-
-def un_loss(alpha, y, kl_weight: float):
-    """Evidential cross-entropy plus weighted KL on the adjusted alpha."""
-    return evidential_ce(alpha, y) + kl_weight * kl_to_uniform(adjusted_alpha(alpha, y))
+    return _kl_value(a, a.sum(axis=-1, keepdims=True), digamma(a))
 
 
 def tempered_ce(beliefs, y, temperature: float):
@@ -124,82 +116,17 @@ def tempered_ce(beliefs, y, temperature: float):
     Deliberately unnormalized; for temperature < 1 and b_k > tau this is
     negative.  Beliefs are clamped at 1e-12 before the log, nothing else.
     """
-    if not 0.0 < temperature <= 1.0:
-        raise ValueError("tempered_ce: temperature must be in (0, 1]")
+    _check_temperature(temperature)
     b = np.asarray(beliefs, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if b.shape != y.shape:
         raise ValueError("beliefs and labels must have the same shape")
-    return -np.sum(y * np.log(np.clip(b, PROB_FLOOR, None) / temperature), axis=-1)
-
-
-def _beliefs(alpha):
-    return (alpha - 1.0) / alpha.sum(axis=-1, keepdims=True)
-
-
-def tun_loss(alpha, y, schedule: Schedule):
-    """un_loss plus the tempered belief cross-entropy, both from the same alpha."""
-    a = np.asarray(alpha, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    return un_loss(a, y, schedule.kl_weight) + tempered_ce(
-        _beliefs(a), y, schedule.temperature
-    )
+    return _tce_value(b, y, temperature)
 
 
 def per_sample_loss(kind: str, alpha, y, schedule: Schedule):
-    """Dispatch on the loss selector; returns per-sample losses."""
-    a = np.asarray(alpha, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if kind == "ce":
-        strength = a.sum(axis=-1, keepdims=True)
-        return ce_loss(a / strength, y)
-    if kind == "unce":
-        return evidential_ce(a, y)
-    if kind == "kl":
-        return kl_to_uniform(adjusted_alpha(a, y))
-    if kind == "un":
-        return un_loss(a, y, schedule.kl_weight)
-    if kind == "tce":
-        return tempered_ce(_beliefs(a), y, schedule.temperature)
-    if kind == "tun":
-        return tun_loss(a, y, schedule)
-    raise ValueError(f"unknown loss kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# closed-form gradients with respect to alpha
-
-
-def _grad_ce(a, y):
-    # L = ln S - sum_k y_k ln alpha_k ; flat (zero) where the clamp is active
-    strength = a.sum(axis=-1, keepdims=True)
-    g = 1.0 / strength - y / a
-    clamped = np.sum(y * a, axis=-1, keepdims=True) / strength < PROB_FLOOR
-    return np.where(clamped, 0.0, g)
-
-
-def _grad_unce(a, y):
-    strength = a.sum(axis=-1, keepdims=True)
-    return trigamma(strength) - y * trigamma(a)
-
-
-def _grad_kl(a, y):
-    a_hat = y + (1.0 - y) * a
-    total = a_hat.sum(axis=-1, keepdims=True)
-    k = a.shape[-1]
-    inner = (a_hat - 1.0) * trigamma(a_hat) - (total - k) * trigamma(total)
-    return (1.0 - y) * inner
-
-
-def _grad_tce(a, y):
-    strength = a.sum(axis=-1, keepdims=True)
-    evid_true = np.sum(y * (a - 1.0), axis=-1, keepdims=True)  # alpha_c - 1
-    belief_true = evid_true / strength
-    off = 1.0 / strength
-    with np.errstate(divide="ignore", invalid="ignore"):
-        on = -(strength - evid_true) / (evid_true * strength)
-    g = np.where(y == 1.0, on, off)
-    return np.where(belief_true < PROB_FLOOR, 0.0, g)
+    """Per-sample loss of ``kind``, one of LOSS_KINDS."""
+    return _checked_loss_and_grad(kind, alpha, y, schedule)[0]
 
 
 def loss_grad_alpha(kind: str, alpha, y, schedule: Schedule):
@@ -208,23 +135,119 @@ def loss_grad_alpha(kind: str, alpha, y, schedule: Schedule):
     Matches the corresponding ``per_sample_loss`` entry exactly (same
     clamping), so central finite differences agree away from clamp edges.
     """
+    return _checked_loss_and_grad(kind, alpha, y, schedule)[1]
+
+
+def objective(kind: str, logits, y, schedule: Schedule):
+    """Mean loss over the batch and its gradient w.r.t. the logits.
+
+    ``kind`` is ``standard_ce`` (cross-entropy on softmax(logits)) or one of
+    LOSS_KINDS on alpha = softplus(logits) + 1.  Inputs are not checked: the
+    trainer's labels come from ``data.one_hot``, which validates them.
+    """
+    n = len(logits)
+    if kind == "standard_ce":
+        probs = softmax(logits)
+        return float(np.mean(_ce_value(probs, y))), (probs - y) / n
+    alpha = softplus(logits) + 1.0
+    per, grad_alpha = _loss_and_grad(kind, alpha, y, schedule)
+    return float(np.mean(per)), grad_alpha * sigmoid(logits) / n
+
+
+# ---------------------------------------------------------------------------
+# Each formula appears once below, shared by the terms and by the validated
+# per-term functions above.  A term takes alpha, labels, S, psi(alpha),
+# psi'(alpha) and the schedule, and returns (per-sample value, d value/d alpha).
+
+
+def _ce_value(p, y):
+    return -np.sum(y * np.log(np.clip(p, PROB_FLOOR, None)), axis=-1)
+
+
+def _tce_value(b, y, temperature):
+    return -np.sum(y * np.log(np.clip(b, PROB_FLOOR, None) / temperature), axis=-1)
+
+
+def _adjust(a, y):
+    return y + (1.0 - y) * a
+
+
+def _kl_value(a_hat, total, psi_hat):
+    k = a_hat.shape[-1]
+    return (
+        log_gamma(np.squeeze(total, axis=-1))
+        - log_gamma(float(k))
+        - np.sum(log_gamma(a_hat), axis=-1)
+        + np.sum((a_hat - 1.0) * (psi_hat - digamma(total)), axis=-1)
+    )
+
+
+def _ce(a, y, s, psi, tri, schedule):
+    # L = ln S - sum_k y_k ln alpha_k ; flat (zero) where the clamp is active
+    clamped = np.sum(y * a, axis=-1, keepdims=True) / s < PROB_FLOOR
+    return _ce_value(a / s, y), np.where(clamped, 0.0, 1.0 / s - y / a)
+
+
+def _unce(a, y, s, psi, tri, schedule):
+    return np.sum(y * (digamma(s) - psi), axis=-1), trigamma(s) - y * tri
+
+
+def _kl(a, y, s, psi, tri, schedule):
+    # psi(alpha) and psi'(alpha) stand in for psi(alpha_hat) and
+    # psi'(alpha_hat): they agree off the true class, and on it both are
+    # multiplied by alpha_hat - 1 = 0
+    a_hat = _adjust(a, y)
+    total = a_hat.sum(axis=-1, keepdims=True)
+    inner = (a_hat - 1.0) * tri - (total - a.shape[-1]) * trigamma(total)
+    return _kl_value(a_hat, total, psi), (1.0 - y) * inner
+
+
+def _annealed_kl(a, y, s, psi, tri, schedule):
+    value, grad = _kl(a, y, s, psi, tri, schedule)
+    return schedule.kl_weight * value, schedule.kl_weight * grad
+
+
+def _tce(a, y, s, psi, tri, schedule):
+    evid_true = np.sum(y * (a - 1.0), axis=-1, keepdims=True)  # alpha_c - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        on = -(s - evid_true) / (evid_true * s)
+    grad = np.where(y == 1.0, on, 1.0 / s)
+    value = _tce_value((a - 1.0) / s, y, schedule.temperature)
+    return value, np.where(evid_true / s < PROB_FLOOR, 0.0, grad)
+
+
+# kind -> the terms it sums, in this order
+_KINDS = {
+    "ce": (_ce,),
+    "unce": (_unce,),
+    "kl": (_kl,),
+    "un": (_unce, _annealed_kl),
+    "tce": (_tce,),
+    "tun": (_unce, _annealed_kl, _tce),
+}
+LOSS_KINDS = tuple(_KINDS)
+
+
+def _loss_and_grad(kind: str, a, y, schedule: Schedule):
+    """Per-sample loss of ``kind`` and its alpha-gradient; inputs unchecked.
+
+    S, psi(alpha) and psi'(alpha) are computed once, for all the terms.
+    """
+    terms = _KINDS.get(kind)
+    if terms is None:
+        raise ValueError(f"unknown loss kind {kind!r}")
+    shared = (a, y, a.sum(axis=-1, keepdims=True), digamma(a), trigamma(a), schedule)
+    loss, grad = terms[0](*shared)
+    for term in terms[1:]:
+        value, g = term(*shared)
+        loss, grad = loss + value, grad + g
+    return loss, grad
+
+
+def _checked_loss_and_grad(kind: str, alpha, y, schedule: Schedule):
     a = np.asarray(alpha, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_pair(a, y)
-    if kind == "ce":
-        return _grad_ce(a, y)
-    if kind == "unce":
-        return _grad_unce(a, y)
-    if kind == "kl":
-        return _grad_kl(a, y)
-    if kind == "un":
-        return _grad_unce(a, y) + schedule.kl_weight * _grad_kl(a, y)
-    if kind == "tce":
-        return _grad_tce(a, y)
-    if kind == "tun":
-        return (
-            _grad_unce(a, y)
-            + schedule.kl_weight * _grad_kl(a, y)
-            + _grad_tce(a, y)
-        )
-    raise ValueError(f"unknown loss kind {kind!r}")
+    if _tce in _KINDS.get(kind, ()):
+        _check_temperature(schedule.temperature)
+    return _loss_and_grad(kind, a, y, schedule)

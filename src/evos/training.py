@@ -21,7 +21,7 @@ from . import losses, mlp
 from .data import Dataset, one_hot
 from .errors import DataError, NumericError
 from .head import DirichletParams, EvidenceGate, SubjectiveOpinion, opinion_from_alpha
-from .numerics import entropy, sigmoid, softmax, softplus
+from .numerics import entropy, softmax, softplus
 from .records import Predictions, from_scores
 
 OBJECTIVES = ("standard_ce", "un", "tun")
@@ -105,7 +105,6 @@ class Model:
     config: mlp.MlpConfig
     params: mlp.MlpParams
     objective: str
-    schedule: losses.Schedule
     threshold: float | None = None  # set by calibration, travels with the model
     gate: EvidenceGate | None = None  # None: the plain softplus evidence head
 
@@ -128,22 +127,6 @@ def snapshot_epochs(epochs: int, count: int) -> list[int]:
         return []
     pts = np.linspace(epochs // 2, epochs - 1, num=count)
     return sorted({int(round(p)) for p in pts})
-
-
-def _batch_objective(objective, logits, y, schedule):
-    """Mean loss over the batch and its gradient w.r.t. the logits."""
-    n = len(logits)
-    if objective == "standard_ce":
-        probs = softmax(logits)
-        loss = float(np.mean(losses.ce_loss(probs, y)))
-        grad = (probs - y) / n
-        return loss, grad
-    kind = objective  # "un" or "tun" match the loss selector names
-    alpha = softplus(logits) + 1.0
-    per = losses.per_sample_loss(kind, alpha, y, schedule)
-    grad_alpha = losses.loss_grad_alpha(kind, alpha, y, schedule)
-    grad = grad_alpha * sigmoid(logits) / n
-    return float(np.mean(per)), grad
 
 
 def train(
@@ -172,12 +155,7 @@ def train(
     y_all = one_hot(train_set.labels, train_set.n_classes)
     snap_at = set(snapshot_epochs(cfg.epochs, cfg.snapshot_count))
     result = TrainResult(
-        model=Model(
-            config=net,
-            params=params,
-            objective=cfg.objective,
-            schedule=losses.Schedule.for_epoch(max(cfg.epochs - 1, 0), cfg.anneal_epochs),
-        )
+        model=Model(config=net, params=params, objective=cfg.objective)
     )
     n = len(train_set)
     for epoch in range(cfg.epochs):
@@ -196,7 +174,7 @@ def train(
             logits, trace = mlp.forward(params, xb, dropout_masks=masks)
             if not np.all(np.isfinite(logits)):
                 raise NumericError(f"training diverged at epoch {epoch}: non-finite logits")
-            loss, grad_out = _batch_objective(cfg.objective, logits, yb, schedule)
+            loss, grad_out = losses.objective(cfg.objective, logits, yb, schedule)
             if not np.isfinite(loss):
                 raise NumericError(f"training diverged at epoch {epoch}: loss={loss}")
             grads = mlp.backward(trace, params, grad_out)

@@ -24,10 +24,10 @@ from evos.checkpoint import file_sha256, load_checkpoint, save_checkpoint
 from evos.cli import main as cli_main
 from evos.data import load_csv
 from evos.head import dirichlet_from_evidence, opinion_from_alpha
-from evos.losses import Schedule, ce_loss, kl_to_uniform, loss_grad_alpha, per_sample_loss
+from evos.losses import LOSS_KINDS, Schedule, kl_to_uniform, objective, per_sample_loss
 from evos.metrics import binary_auc
 from evos.mlp import MlpConfig, finite_diff_check, init_params
-from evos.numerics import digamma, log_gamma, sigmoid, softmax, softplus, trigamma
+from evos.numerics import digamma, log_gamma, trigamma
 from evos.records import Predictions
 from evos.training import Model, TrainConfig, accuracy, predict_records, train
 
@@ -122,12 +122,7 @@ def arms(bench, tmp_path_factory):
         cmp_dir / "standard.json", std.model, TrainConfig(epochs=400, objective="standard_ce", seed=42), fingerprint
     )
     for i, params in enumerate(std.snapshots):
-        snap = Model(
-            config=std.model.config,
-            params=params,
-            objective=std.model.objective,
-            schedule=std.model.schedule,
-        )
+        snap = Model(config=std.model.config, params=params, objective=std.model.objective)
         save_checkpoint(
             cmp_dir / f"standard.snap{i}.json",
             snap,
@@ -213,14 +208,7 @@ def _loss_fn_for(kind):
 
     def loss_fn(outputs):
         n, k = outputs.shape
-        y = np.eye(k)[np.arange(n) % k]
-        if kind == "softmax_ce":
-            probs = softmax(outputs)
-            return float(np.mean(ce_loss(probs, y))), (probs - y) / n
-        alpha = softplus(outputs) + 1.0
-        per = per_sample_loss(kind, alpha, y, sch)
-        galpha = loss_grad_alpha(kind, alpha, y, sch)
-        return float(np.mean(per)), galpha * sigmoid(outputs) / n
+        return objective(kind, outputs, np.eye(k)[np.arange(n) % k], sch)
 
     return loss_fn
 
@@ -230,7 +218,7 @@ def test_criterion_3_gradient_suite():
     worst = 0.0
     # seeds avoid parameter draws that leave a ReLU pre-activation inside
     # the finite-difference stencil of its kink
-    for kind in ("ce", "unce", "kl", "un", "tce", "tun"):
+    for kind in LOSS_KINDS:
         for seed in (1, 2, 3):
             cfg = MlpConfig(input_dim=3, output_dim=4, hidden_dims=(8, 6), seed=seed)
             params = init_params(cfg)

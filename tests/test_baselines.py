@@ -17,7 +17,6 @@ from evos.baselines import (
 )
 from evos.data import circle_centers, gen_blobs, split_622
 from evos.errors import DataError
-from evos.losses import Schedule
 from evos.mlp import MlpConfig
 from evos.training import Model, TrainConfig, train
 
@@ -32,9 +31,7 @@ def linear_model(biases, objective="standard_ce", input_dim=2):
     params = mlp.init_params(cfg)
     params.weights[0][:] = 0.0
     params.biases[0][:] = np.asarray(biases, dtype=np.float64)
-    return Model(
-        config=cfg, params=params, objective=objective, schedule=Schedule.for_epoch(0)
-    )
+    return Model(config=cfg, params=params, objective=objective)
 
 
 @pytest.fixture(scope="module")

@@ -89,7 +89,6 @@ def test_checkpoint_round_trip(tmp_path, trained):
         assert a.tobytes() == b.tobytes()
     assert model.config == result.model.config
     assert model.objective == "tun"
-    assert model.schedule == result.model.schedule
     assert tc_back == tc
     assert fp == "abc123"
     assert calib is None and model.threshold is None

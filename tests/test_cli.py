@@ -120,6 +120,36 @@ def test_numeric_failure_exit_code(data_dir, tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_train_on_ood_rows_is_data_error(data_dir, tmp_path, capsys):
+    # an all-OOD CSV has no classes, so no network can be sized for it
+    rc = run(
+        "train",
+        "--train-csv",
+        str(data_dir / "ood_ring.csv"),
+        "--out",
+        str(tmp_path / "m.json"),
+        "--epochs",
+        "1",
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "classes" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_eval_on_ood_rows_is_data_error(model_path, data_dir, capsys):
+    rc = run(
+        "eval",
+        "--checkpoint",
+        str(model_path),
+        "--test-csv",
+        str(data_dir / "ood_ring.csv"),
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "ood-eval" in err
+
+
 # ---------------------------------------------------------------------------
 # gen-data
 

@@ -21,12 +21,11 @@ from evos.losses import (
     evidential_ce,
     kl_to_uniform,
     loss_grad_alpha,
+    objective,
     per_sample_loss,
     tempered_ce,
-    tun_loss,
-    un_loss,
 )
-from evos.numerics import digamma, trigamma
+from evos.numerics import digamma, sigmoid, softmax, softplus, trigamma
 
 PI2_6 = math.pi**2 / 6.0
 
@@ -177,27 +176,31 @@ def test_kl_random_sweep_nonnegative():
 
 
 # ---------------------------------------------------------------------------
-# un_loss / tempered_ce / tun_loss
+# the un and tun kinds / tempered_ce
+
+FULL_KL = Schedule(epoch=10, kl_weight=1.0)
 
 
 def test_un_loss_lambda_zero_is_evidential_ce():
     alpha = np.array([4.0, 2.0])
     y = one_hot(0, 2)
-    assert un_loss(alpha, y, 0.0) == pytest.approx(evidential_ce(alpha, y), abs=1e-14)
+    assert per_sample_loss("un", alpha, y, Schedule(epoch=0)) == pytest.approx(
+        evidential_ce(alpha, y), abs=1e-14
+    )
 
 
 def test_un_loss_at_unit_alpha():
     k = 4
     y = one_hot(2, k)
     expect = digamma(float(k)) - digamma(1.0)
-    assert un_loss(np.ones(k), y, 1.0) == pytest.approx(expect, abs=1e-10)
+    assert per_sample_loss("un", np.ones(k), y, FULL_KL) == pytest.approx(expect, abs=1e-10)
 
 
 def test_un_loss_composes_components():
     alpha = np.array([4.0, 2.0])
     y = one_hot(0, 2)
     expect = evidential_ce(alpha, y) + kl_to_uniform(adjusted_alpha(alpha, y))
-    assert un_loss(alpha, y, 1.0) == pytest.approx(expect, abs=1e-14)
+    assert per_sample_loss("un", alpha, y, FULL_KL) == pytest.approx(expect, abs=1e-14)
 
 
 def test_un_loss_nonincreasing_in_true_class_evidence():
@@ -205,7 +208,7 @@ def test_un_loss_nonincreasing_in_true_class_evidence():
     vals = []
     for t in np.linspace(0.0, 30.0, 40):
         alpha = np.array([1.0 + t, 2.5, 1.7])
-        vals.append(un_loss(alpha, y, 1.0))
+        vals.append(per_sample_loss("un", alpha, y, FULL_KL))
     assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:]))
 
 
@@ -239,10 +242,10 @@ def test_tun_loss_composes_at_schedule_points():
     beliefs = opinion_from_alpha(dirichlet_from_evidence(alpha - 1.0)).beliefs
     for epoch in (0, 5, 10, 25):
         sch = Schedule.for_epoch(epoch)
-        expect = un_loss(alpha, y, sch.kl_weight) + tempered_ce(
+        expect = per_sample_loss("un", alpha, y, sch) + tempered_ce(
             beliefs, y, sch.temperature
         )
-        assert tun_loss(alpha, y, sch) == pytest.approx(expect, abs=1e-12)
+        assert per_sample_loss("tun", alpha, y, sch) == pytest.approx(expect, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -328,3 +331,59 @@ def test_per_sample_loss_vectorizes_over_batch():
         assert batch[i] == pytest.approx(
             float(per_sample_loss("tun", alpha[i], y[i], sch)), abs=1e-12
         )
+
+
+# ---------------------------------------------------------------------------
+# the validated entry points and the training objective
+
+_GOOD_ALPHA, _GOOD_Y = np.array([[3.0, 1.5, 2.0]]), np.array([[0.0, 1.0, 0.0]])
+_BAD_INPUTS = [
+    *(
+        pytest.param(kind, alpha, y, Schedule.for_epoch(5), id=f"{kind}-{what}")
+        for kind in LOSS_KINDS
+        for what, alpha, y in (
+            ("shape", _GOOD_ALPHA, _GOOD_Y[:, :2]),
+            ("non-finite", np.array([[3.0, np.nan, 2.0]]), _GOOD_Y),
+            ("soft-labels", _GOOD_ALPHA, np.array([[0.5, 0.5, 0.0]])),
+            ("two-hot", _GOOD_ALPHA, np.array([[1.0, 1.0, 0.0]])),
+        )
+    ),
+    pytest.param("bogus", _GOOD_ALPHA, _GOOD_Y, Schedule.for_epoch(5), id="unknown-kind"),
+    *(
+        pytest.param(kind, _GOOD_ALPHA, _GOOD_Y, Schedule(epoch=0, temperature=tau),
+                     id=f"{kind}-tau{tau}")
+        for kind in ("tce", "tun")
+        for tau in (0.0, -0.5, 1.5)
+    ),
+]
+
+
+@pytest.mark.parametrize("entry", [per_sample_loss, loss_grad_alpha])
+@pytest.mark.parametrize("kind, alpha, y, sch", _BAD_INPUTS)
+def test_entry_points_reject_bad_input(entry, kind, alpha, y, sch):
+    with pytest.raises(ValueError):
+        entry(kind, alpha, y, sch)
+
+
+def _logit_batch():
+    rng = np.random.default_rng(4)
+    return rng.normal(scale=3.0, size=(7, 4)), np.eye(4)[rng.integers(0, 4, size=7)]
+
+
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_objective_is_mean_loss_and_logit_gradient(kind):
+    logits, y = _logit_batch()
+    sch = Schedule.for_epoch(5)
+    loss, grad = objective(kind, logits, y, sch)
+    alpha = softplus(logits) + 1.0
+    assert loss == float(np.mean(per_sample_loss(kind, alpha, y, sch)))
+    expect = loss_grad_alpha(kind, alpha, y, sch) * sigmoid(logits) / len(logits)
+    assert grad.tobytes() == expect.tobytes()
+
+
+def test_objective_standard_ce_is_softmax_cross_entropy():
+    logits, y = _logit_batch()
+    loss, grad = objective("standard_ce", logits, y, Schedule.for_epoch(5))
+    probs = softmax(logits)
+    assert loss == float(np.mean(ce_loss(probs, y)))
+    assert grad.tobytes() == ((probs - y) / len(logits)).tobytes()

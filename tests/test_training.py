@@ -250,7 +250,7 @@ def test_predict_zero_weight_net_uniform_opinion():
     params = init_params(net)
     for w in params.weights:
         w[:] = 0.0
-    model = Model(config=net, params=params, objective="tun", schedule=None)
+    model = Model(config=net, params=params, objective="tun")
     op = predict(model, np.zeros((1, 2)))
     assert isinstance(op, SubjectiveOpinion)
     # zero logits carry log(2) evidence per class, so u = 1/(1 + log 2)
