@@ -94,6 +94,8 @@ def roc_sweep(
     w = np.asarray(wrong)
     if u.shape != w.shape or u.ndim != 1 or len(u) == 0:
         raise CalibrationError("roc_sweep: need matching 1-d uncertainty/wrong arrays")
+    if not np.all(np.isfinite(u)):
+        raise CalibrationError("roc_sweep: uncertainty must be finite")
     n_wrong = int(np.sum(w == 1))
     n_right = int(np.sum(w == 0))
     if n_wrong == 0 or n_right == 0:
@@ -101,11 +103,13 @@ def roc_sweep(
             f"roc_sweep: degenerate labels ({n_wrong} wrong, {n_right} correct); "
             "both outcomes are required to trade off TPR against FPR"
         )
-    candidates = np.unique(u)
+    candidates, inverse = np.unique(u, return_inverse=True)
     candidates = np.append(candidates, np.nextafter(candidates[-1], np.inf))
-    flagged = u[None, :] >= candidates[:, None]
-    tpr = (flagged & (w == 1)).sum(axis=1) / n_wrong
-    fpr = (flagged & (w == 0)).sum(axis=1) / n_right
+    # a row with u == candidates[j] is flagged at every candidate i <= j
+    wrong_at = np.bincount(inverse[w == 1], minlength=len(candidates))
+    right_at = np.bincount(inverse[w == 0], minlength=len(candidates))
+    tpr = np.cumsum(wrong_at[::-1])[::-1] / n_wrong
+    fpr = np.cumsum(right_at[::-1])[::-1] / n_right
     return candidates, tpr, fpr
 
 

@@ -113,6 +113,17 @@ def _load_snapshots(ckpt_path: str) -> list[mlp.MlpParams]:
     return out
 
 
+def _load_labelled(path, name: str):
+    """Load a validation or test CSV, whose rows must all carry a class."""
+    ds = load_csv(path, name=name)
+    if np.any(ds.labels == OOD_LABEL):
+        raise DataError(
+            f"{name}: {path} has OOD rows, which have no class to score; "
+            "use `evos ood-eval` for them"
+        )
+    return ds
+
+
 def _method_records(method, model, snapshots, ds, args):
     probs, u = baselines.score_method(
         method,
@@ -231,7 +242,7 @@ def cmd_train(args) -> int:
     train_set = load_csv(args.train_csv, name="train")
     if train_set.n_classes < 2:
         raise DataError(f"train: {args.train_csv} needs labelled rows of >= 2 classes")
-    val_set = load_csv(args.val_csv, name="val") if args.val_csv else None
+    val_set = _load_labelled(args.val_csv, "val") if args.val_csv else None
     cfg = TrainConfig(
         epochs=args.epochs,
         learning_rate=args.learning_rate,
@@ -286,7 +297,7 @@ CAL_DEFAULTS = dict(
 def cmd_calibrate(args) -> int:
     args = _resolve(args, CAL_DEFAULTS)
     model, tc, fingerprint, _ = load_checkpoint(args.checkpoint)
-    val_set = load_csv(args.val_csv, name="val")
+    val_set = _load_labelled(args.val_csv, "val")
     method = _auto_method(model) if args.method == "auto" else args.method
     snapshots = _load_snapshots(args.checkpoint) if method == "ensemble" else None
     recs = _method_records(method, model, snapshots, val_set, args)
@@ -322,12 +333,7 @@ EVAL_DEFAULTS = dict(
 def cmd_eval(args) -> int:
     args = _resolve(args, EVAL_DEFAULTS)
     model, _, _, cal = load_checkpoint(args.checkpoint)
-    test_set = load_csv(args.test_csv, name="test")
-    if np.any(test_set.labels == OOD_LABEL):
-        raise DataError(
-            f"eval: {args.test_csv} has OOD rows, which have no class to score; "
-            "use `evos ood-eval` for them"
-        )
+    test_set = _load_labelled(args.test_csv, "test")
     method = _auto_method(model) if args.method == "auto" else args.method
     snapshots = _load_snapshots(args.checkpoint) if method == "ensemble" else None
     recs = _method_records(method, model, snapshots, test_set, args)
@@ -459,8 +465,8 @@ def cmd_compare(args) -> int:
     if missing:
         raise DataError("compare: missing artifacts:\n  " + "\n  ".join(missing))
 
-    val_set = load_csv(args.val_csv, name="val")
-    test_set = load_csv(args.test_csv, name="test")
+    val_set = _load_labelled(args.val_csv, "val")
+    test_set = _load_labelled(args.test_csv, "test")
     ood_sets = [load_csv(p, name=p) for p in (args.ood_csv or [])]
 
     rows = {}

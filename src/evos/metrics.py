@@ -110,17 +110,10 @@ def per_class_metrics(cm: np.ndarray) -> PerClassMetrics:
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(len(x), dtype=np.float64)
-    sorted_x = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks of x; tied values share the mean of their ranks."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)  # 1-based rank of the last member of each tie group
+    return ((ends - counts + ends + 1) / 2)[inverse]
 
 
 def binary_auc(scores: np.ndarray, positives: np.ndarray) -> float:

@@ -13,6 +13,7 @@ Monte Carlo dropout baseline supplies fresh masks per pass.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,23 +51,30 @@ class MlpConfig:
 class MlpParams:
     """Weight matrices (fan_in, fan_out) and bias vectors, one per layer.
 
-    The same container is reused for gradients and optimizer moments,
+    All of them are views into one contiguous float64 vector, ``flat``:
+    the weights layer by layer, then the biases.  The constructor packs
+    (copies) the arrays it is given, so writing through a view writes
+    ``flat`` and vice versa.  The same container is reused for gradients,
     which are parameter-shaped by construction.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        blocks = [np.asarray(a, dtype=np.float64) for a in (*self.weights, *self.biases)]
+        self.flat = np.concatenate([a.ravel() for a in blocks])
+        ends = itertools.accumulate(a.size for a in blocks)
+        views = [self.flat[e - a.size : e].reshape(a.shape) for a, e in zip(blocks, ends)]
+        n_layers = len(self.weights)
+        self.weights, self.biases = views[:n_layers], views[n_layers:]
 
     def copy(self) -> "MlpParams":
-        return MlpParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return MlpParams(weights=self.weights, biases=self.biases)
 
     def ravel(self) -> np.ndarray:
-        return np.concatenate(
-            [a.ravel() for a in (*self.weights, *self.biases)]
-        )
+        return self.flat.copy()
 
 
 @dataclass
@@ -185,9 +193,8 @@ def backward(trace: ForwardTrace, params: MlpParams, grad_out: np.ndarray) -> Ml
 
 def check_finite(grads: MlpParams):
     """Raise NumericError if any gradient entry is NaN/Inf."""
-    for i, arr in enumerate((*grads.weights, *grads.biases)):
-        if not np.all(np.isfinite(arr)):
-            raise NumericError(f"non-finite gradient in parameter block {i}")
+    if not np.all(np.isfinite(grads.flat)):
+        raise NumericError("non-finite gradient")
 
 
 def finite_diff_check(
@@ -213,18 +220,13 @@ def finite_diff_check(
 
     worst = 0.0
     work = params.copy()
-    for arrs, grads in ((work.weights, analytic.weights), (work.biases, analytic.biases)):
-        for arr, g in zip(arrs, grads):
-            flat = arr.ravel()
-            gflat = g.ravel()
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + h
-                up = loss_at(work)
-                flat[j] = orig - h
-                down = loss_at(work)
-                flat[j] = orig
-                numeric = (up - down) / (2.0 * h)
-                err = abs(gflat[j] - numeric) / (abs(numeric) + 1e-8)
-                worst = max(worst, err)
+    for j, g in enumerate(analytic.flat):
+        orig = work.flat[j]
+        work.flat[j] = orig + h
+        up = loss_at(work)
+        work.flat[j] = orig - h
+        down = loss_at(work)
+        work.flat[j] = orig
+        numeric = (up - down) / (2.0 * h)
+        worst = max(worst, abs(g - numeric) / (abs(numeric) + 1e-8))
     return worst

@@ -51,19 +51,16 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment estimates and the bias-correction step counter."""
+    """First/second moment estimates, laid out like ``MlpParams.flat``, and
+    the bias-correction step counter."""
 
-    m: mlp.MlpParams
-    v: mlp.MlpParams
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def zeros_like(cls, params: mlp.MlpParams) -> "AdamState":
-        zero = lambda arrs: [np.zeros_like(a) for a in arrs]
-        return cls(
-            m=mlp.MlpParams(zero(params.weights), zero(params.biases)),
-            v=mlp.MlpParams(zero(params.weights), zero(params.biases)),
-        )
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 ADAM_BETA1 = 0.9
@@ -84,17 +81,13 @@ def adam_step(
     state.step += 1
     c1 = 1.0 - ADAM_BETA1**state.step
     c2 = 1.0 - ADAM_BETA2**state.step
-    for group, ggroup, mgroup, vgroup in (
-        (params.weights, grads.weights, state.m.weights, state.v.weights),
-        (params.biases, grads.biases, state.m.biases, state.v.biases),
-    ):
-        for p, g, m, v in zip(group, ggroup, mgroup, vgroup):
-            g = g + weight_decay * p
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            p -= learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    m, v = state.m, state.v
+    g = grads.flat + weight_decay * params.flat
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (g * g)
+    params.flat -= learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return params, state
 
 

@@ -1,6 +1,8 @@
 """Threshold selection: the crafted 4-record case, a brute-force oracle over
 random instances, boundary semantics, and sweep invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +147,53 @@ def test_select_threshold_brute_force_any_coefficient(seed, coefficient):
     theta, obj = _brute_force(u, wrong, coefficient)
     assert cal.threshold == pytest.approx(theta)
     assert cal.objective_value == pytest.approx(obj)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]), st.integers(0, 1)),
+        min_size=2,
+        max_size=60,
+    )
+)
+def test_roc_sweep_heavy_ties_match_brute_force(rows):
+    u = np.array([r[0] for r in rows])
+    wrong = np.array([r[1] for r in rows])
+    if wrong.min() == wrong.max():
+        return
+    candidates, tpr, fpr = roc_sweep(u, wrong)
+    assert np.array_equal(candidates, np.append(np.unique(u), np.nextafter(u.max(), np.inf)))
+    for theta, t, f in zip(candidates, tpr, fpr):
+        flag = u >= theta
+        assert t == flag[wrong == 1].mean() and f == flag[wrong == 0].mean()
+    cal = select_threshold(candidates, tpr, fpr)
+    theta, obj = _brute_force(u, wrong)
+    assert cal.threshold == theta
+    assert cal.objective_value == pytest.approx(obj)
+
+
+def test_roc_sweep_memory_is_linear():
+    # the sweep must not build a (candidates x rows) matrix: 200k distinct
+    # u values would need about 40 GB that way
+    rng = np.random.default_rng(3)
+    u = rng.random(200_000)
+    wrong = rng.integers(0, 2, size=u.size)
+    tracemalloc.start()
+    try:
+        candidates, tpr, fpr = roc_sweep(u, wrong)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert len(candidates) == u.size + 1
+    assert tpr[0] == fpr[0] == 1.0 and tpr[-1] == fpr[-1] == 0.0
+
+
+def test_roc_sweep_rejects_non_finite_uncertainty():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(CalibrationError):
+            roc_sweep(np.array([0.1, bad, 0.3]), np.array([0, 1, 1]))
 
 
 def test_threshold_in_candidates_and_maximal():

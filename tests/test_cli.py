@@ -150,6 +150,62 @@ def test_eval_on_ood_rows_is_data_error(model_path, data_dir, capsys):
     assert err.startswith("error:") and "ood-eval" in err
 
 
+@pytest.fixture(scope="module")
+def mixed_csv(data_dir, tmp_path_factory):
+    """val.csv with the OOD ring rows appended: labelled rows plus OOD rows."""
+    path = tmp_path_factory.mktemp("mixed") / "val_and_ring.csv"
+    ring_rows = (data_dir / "ood_ring.csv").read_text().splitlines(keepends=True)[1:]
+    path.write_text((data_dir / "val.csv").read_text() + "".join(ring_rows))
+    return path
+
+
+def test_train_on_ood_val_rows_is_data_error(data_dir, tmp_path, capsys):
+    # OOD validation rows have no class, so they cannot count as wrong
+    rc = run(
+        "train",
+        "--train-csv",
+        str(data_dir / "train.csv"),
+        "--val-csv",
+        str(data_dir / "ood_ring.csv"),
+        "--out",
+        str(tmp_path / "m.json"),
+        "--epochs",
+        "1",
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "ood-eval" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_calibrate_on_ood_rows_is_data_error(model_path, mixed_csv, tmp_path, capsys):
+    ckpt = tmp_path / "model.json"
+    ckpt.write_bytes(model_path.read_bytes())
+    rc = run("calibrate", "--checkpoint", str(ckpt), "--val-csv", str(mixed_csv))
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "ood-eval" in err
+    assert ckpt.read_bytes() == model_path.read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["--val-csv", "--test-csv"])
+def test_compare_on_ood_rows_is_data_error(flag, model_path, data_dir, mixed_csv, tmp_path, capsys):
+    (tmp_path / "uios.json").write_bytes(model_path.read_bytes())
+    csvs = {"--val-csv": str(data_dir / "val.csv"), "--test-csv": str(data_dir / "test.csv")}
+    csvs[flag] = str(mixed_csv)
+    rc = run(
+        "compare",
+        "--checkpoint-dir",
+        str(tmp_path),
+        "--methods",
+        "uios",
+        *(arg for pair in csvs.items() for arg in pair),
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "ood-eval" in err
+
+
 # ---------------------------------------------------------------------------
 # gen-data
 

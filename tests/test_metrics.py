@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from evos.metrics import (
     MetricReport,
+    _midranks,
     binary_auc,
     confusion_matrix,
     evaluate,
@@ -157,6 +158,19 @@ def test_binary_auc_matches_pair_counting_oracle():
         assert binary_auc(scores, positives) == pytest.approx(
             _pair_count_auc(scores, positives), abs=1e-12
         )
+
+
+@pytest.mark.parametrize("decimals", [None, 2, 0])
+def test_midranks_match_scipy_rankdata(decimals):
+    from scipy.stats import rankdata
+
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 7, 100, 5000):
+        x = rng.normal(scale=3.0, size=n)
+        if decimals is not None:
+            x = np.round(x, decimals)  # ties: few at 2 decimals, heavy at 0
+        assert np.array_equal(_midranks(x), rankdata(x, method="average"))
+    assert np.array_equal(_midranks(np.full(9, 0.25)), np.full(9, 5.0))
 
 
 @settings(deadline=None, max_examples=100)

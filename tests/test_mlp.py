@@ -170,6 +170,10 @@ def test_check_finite_raises():
     p.weights[0][0, 0] = np.nan
     with pytest.raises(NumericError):
         check_finite(p)
+    p = init_params(small_config(hidden_dims=(4, 5)))
+    p.biases[-1][-1] = np.inf  # the last entry of the flat layout
+    with pytest.raises(NumericError):
+        check_finite(p)
 
 
 # ---------------------------------------------------------------------------
@@ -283,5 +287,43 @@ def test_determinism_forward_and_gradients():
 def test_params_copy_is_deep():
     p = init_params(small_config())
     q = p.copy()
+    assert np.array_equal(p.flat, q.flat)
+    assert not any(np.shares_memory(a, q.flat) for a in (p.flat, *p.weights, *p.biases))
     q.weights[0][0, 0] += 1.0
     assert p.weights[0][0, 0] != q.weights[0][0, 0]
+
+
+# ---------------------------------------------------------------------------
+# flat parameter layout
+
+
+def test_flat_and_views_share_memory():
+    p = init_params(small_config(hidden_dims=(4, 5)))
+    assert p.flat.dtype == np.float64 and p.flat.flags.c_contiguous
+    p.flat[:] = np.arange(p.flat.size)
+    assert p.weights[0][0, 0] == 0.0 and p.weights[0][0, 1] == 1.0
+    assert p.biases[0][0] == sum(w.size for w in p.weights)
+    assert p.biases[-1][-1] == p.flat.size - 1
+    p.weights[1][2, 3] = -7.0
+    p.biases[1][:] = 42.0
+    start = p.weights[0].size + 2 * 5 + 3  # weights[1] is (4, 5), row-major
+    assert p.flat[start] == -7.0
+    assert (p.flat[-p.biases[2].size - 5 : -p.biases[2].size] == 42.0).all()
+
+
+def test_ravel_is_weights_then_biases():
+    p = init_params(small_config(hidden_dims=(4, 5)))
+    p.biases[0][:] = 1.5  # nonzero, so a swapped block would show
+    expect = np.concatenate([a.ravel() for a in (*p.weights, *p.biases)])
+    assert np.array_equal(p.ravel(), expect)
+    assert not np.shares_memory(p.ravel(), p.flat)
+
+
+def test_constructor_packs_a_copy():
+    w = [np.ones((2, 3)), np.ones((3, 1))]
+    b = [np.zeros(3), np.zeros(1)]
+    p = MlpParams(weights=w, biases=b)
+    p.flat[:] = 5.0
+    assert all((a == 1.0).all() for a in w) and all((a == 0.0).all() for a in b)
+    assert [a.shape for a in p.weights] == [(2, 3), (3, 1)]
+    assert [a.shape for a in p.biases] == [(3,), (1,)]

@@ -13,6 +13,9 @@ from evos.errors import DataError, NumericError
 from evos.head import EvidenceGate, SubjectiveOpinion
 from evos.mlp import MlpConfig, MlpParams, infer, init_params
 from evos.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     Model,
     TrainConfig,
@@ -105,6 +108,36 @@ def test_adam_trajectories_bit_identical():
         return vals
 
     assert trajectory() == trajectory()
+
+
+def _adam_per_array(params, grads, m, v, step, learning_rate, weight_decay):
+    """Reference Adam: one update per weight and bias array."""
+    c1 = 1.0 - ADAM_BETA1**step
+    c2 = 1.0 - ADAM_BETA2**step
+    for p_, g_, m_, v_ in zip(params, grads, m, v):
+        g_ = g_ + weight_decay * p_
+        m_ *= ADAM_BETA1
+        m_ += (1.0 - ADAM_BETA1) * g_
+        v_ *= ADAM_BETA2
+        v_ += (1.0 - ADAM_BETA2) * (g_ * g_)
+        p_ -= learning_rate * (m_ / c1) / (np.sqrt(v_ / c2) + ADAM_EPS)
+
+
+def test_adam_flat_step_matches_per_array_reference():
+    rng = np.random.default_rng(11)
+    p = init_params(MlpConfig(input_dim=2, output_dim=3, hidden_dims=(4,), seed=3))
+    ref = [a.copy() for a in (*p.weights, *p.biases)]
+    ref_m = [np.zeros_like(a) for a in ref]
+    ref_v = [np.zeros_like(a) for a in ref]
+    state = AdamState.zeros_like(p)
+    for step in range(1, 8):
+        g = [rng.normal(size=a.shape) for a in ref]
+        adam_step(p, MlpParams(weights=g[:2], biases=g[2:]), state, 1e-2, 1e-3)
+        _adam_per_array(ref, g, ref_m, ref_v, step, 1e-2, 1e-3)
+        for got, want in zip((*p.weights, *p.biases), ref):
+            assert np.array_equal(got, want), f"step {step}"
+    assert np.array_equal(state.m, np.concatenate([a.ravel() for a in ref_m]))
+    assert np.array_equal(state.v, np.concatenate([a.ravel() for a in ref_v]))
 
 
 # ---------------------------------------------------------------------------
