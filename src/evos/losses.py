@@ -12,20 +12,22 @@ The three trainable objectives are
                   annealed KL regularizer toward the uniform Dirichlet,
     tun         : ``un`` plus a temperature-scaled belief cross-entropy.
 
-Each loss kind is a sum of terms (``_KINDS``); a term returns its value and
-alpha-gradient together, and the terms of one call share S, psi(alpha) and
-psi'(alpha).  The KL term sees an "adjusted" concentration in which the
-true class is reset to 1, so only misleading (off-class) evidence is
-penalized.
+Each loss kind is a sum of terms (``_KINDS``) that return value and
+alpha-gradient together and share one psi/psi' pass over [alpha | S | sum
+alpha_hat] and one log-gamma pass over [alpha_hat | sum alpha_hat].  The KL
+term sees alpha_hat, alpha with the true class reset to 1, so only
+misleading (off-class) evidence is penalized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import digamma, log_gamma, sigmoid, softmax, softplus, trigamma
+from .numerics import _log_gamma, _psi_trigamma, log_gamma, sigmoid, softmax, softplus
 
 PROB_FLOOR = 1e-12  # clamp for logs of probabilities / beliefs
 
@@ -84,10 +86,7 @@ def ce_loss(probs, y):
 def evidential_ce(alpha, y):
     """Expected cross-entropy under Dirichlet(alpha):
     sum_k y_k (psi(S) - psi(alpha_k))."""
-    a = np.asarray(alpha, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _check_pair(a, y)
-    return _loss_and_grad("unce", a, y, None)[0]
+    return _checked_loss_and_grad("unce", alpha, y, None)[0]
 
 
 def adjusted_alpha(alpha, y):
@@ -107,7 +106,8 @@ def kl_to_uniform(alpha_hat):
     a = np.asarray(alpha_hat, dtype=np.float64)
     if np.any(a < 1.0) or not np.all(np.isfinite(a)):
         raise ValueError("kl_to_uniform: alpha_hat must be finite and >= 1")
-    return _kl_value(a, a.sum(axis=-1, keepdims=True), digamma(a))
+    # with no true class, nothing is reset: the KL term sees alpha_hat as is
+    return _loss_and_grad("kl", a, np.zeros_like(a), None)[0]
 
 
 def tempered_ce(beliefs, y, temperature: float):
@@ -156,63 +156,79 @@ def objective(kind: str, logits, y, schedule: Schedule):
 
 # ---------------------------------------------------------------------------
 # Each formula appears once below, shared by the terms and by the validated
-# per-term functions above.  A term takes alpha, labels, S, psi(alpha),
-# psi'(alpha) and the schedule, and returns (per-sample value, d value/d alpha).
+# per-term functions above.  A term takes the shared batch quantities and
+# returns (per-sample value, d value/d alpha).
+
+
+class _Shared(NamedTuple):
+    a: np.ndarray  # alpha
+    y: np.ndarray  # one-hot labels
+    s: np.ndarray  # S = sum alpha, (..., 1)
+    a_hat: np.ndarray  # alpha with the true class reset to 1
+    total: np.ndarray  # sum alpha_hat, (..., 1)
+    psi: np.ndarray  # psi and psi' of [alpha | S | total], columns _A, _S, _T
+    tri: np.ndarray
+    lg: np.ndarray  # ln Gamma of [alpha_hat | total]
+    schedule: Schedule
+
+
+_A, _S, _T = np.s_[..., :-2], np.s_[..., -2:-1], np.s_[..., -1:]
 
 
 def _ce_value(p, y):
-    return -np.sum(y * np.log(np.clip(p, PROB_FLOOR, None)), axis=-1)
+    return -np.sum(y * np.log(np.maximum(p, PROB_FLOOR)), axis=-1)
 
 
 def _tce_value(b, y, temperature):
-    return -np.sum(y * np.log(np.clip(b, PROB_FLOOR, None) / temperature), axis=-1)
+    return -np.sum(y * np.log(np.maximum(b, PROB_FLOOR) / temperature), axis=-1)
 
 
 def _adjust(a, y):
     return y + (1.0 - y) * a
 
 
-def _kl_value(a_hat, total, psi_hat):
-    k = a_hat.shape[-1]
-    return (
-        log_gamma(np.squeeze(total, axis=-1))
-        - log_gamma(float(k))
-        - np.sum(log_gamma(a_hat), axis=-1)
-        + np.sum((a_hat - 1.0) * (psi_hat - digamma(total)), axis=-1)
-    )
+@lru_cache
+def _log_gamma_of(k: int) -> float:
+    return log_gamma(float(k))
 
 
-def _ce(a, y, s, psi, tri, schedule):
+def _ce(b: _Shared):
     # L = ln S - sum_k y_k ln alpha_k ; flat (zero) where the clamp is active
-    clamped = np.sum(y * a, axis=-1, keepdims=True) / s < PROB_FLOOR
-    return _ce_value(a / s, y), np.where(clamped, 0.0, 1.0 / s - y / a)
+    clamped = np.sum(b.y * b.a, axis=-1, keepdims=True) / b.s < PROB_FLOOR
+    return _ce_value(b.a / b.s, b.y), np.where(clamped, 0.0, 1.0 / b.s - b.y / b.a)
 
 
-def _unce(a, y, s, psi, tri, schedule):
-    return np.sum(y * (digamma(s) - psi), axis=-1), trigamma(s) - y * tri
+def _unce(b: _Shared):
+    return np.sum(b.y * (b.psi[_S] - b.psi[_A]), axis=-1), b.tri[_S] - b.y * b.tri[_A]
 
 
-def _kl(a, y, s, psi, tri, schedule):
+def _kl(b: _Shared):
     # psi(alpha) and psi'(alpha) stand in for psi(alpha_hat) and
     # psi'(alpha_hat): they agree off the true class, and on it both are
     # multiplied by alpha_hat - 1 = 0
-    a_hat = _adjust(a, y)
-    total = a_hat.sum(axis=-1, keepdims=True)
-    inner = (a_hat - 1.0) * tri - (total - a.shape[-1]) * trigamma(total)
-    return _kl_value(a_hat, total, psi), (1.0 - y) * inner
+    k, excess = b.a.shape[-1], b.a_hat - 1.0
+    value = (
+        b.lg[..., -1]
+        - _log_gamma_of(k)
+        - np.sum(b.lg[..., :-1], axis=-1)
+        + np.sum(excess * (b.psi[_A] - b.psi[_T]), axis=-1)
+    )
+    inner = excess * b.tri[_A] - (b.total - k) * b.tri[_T]
+    return value, (1.0 - b.y) * inner
 
 
-def _annealed_kl(a, y, s, psi, tri, schedule):
-    value, grad = _kl(a, y, s, psi, tri, schedule)
-    return schedule.kl_weight * value, schedule.kl_weight * grad
+def _annealed_kl(b: _Shared):
+    value, grad = _kl(b)
+    return b.schedule.kl_weight * value, b.schedule.kl_weight * grad
 
 
-def _tce(a, y, s, psi, tri, schedule):
-    evid_true = np.sum(y * (a - 1.0), axis=-1, keepdims=True)  # alpha_c - 1
+def _tce(b: _Shared):
+    evid, y, s = b.a - 1.0, b.y, b.s
+    evid_true = np.sum(y * evid, axis=-1, keepdims=True)  # alpha_c - 1
     with np.errstate(divide="ignore", invalid="ignore"):
         on = -(s - evid_true) / (evid_true * s)
     grad = np.where(y == 1.0, on, 1.0 / s)
-    value = _tce_value((a - 1.0) / s, y, schedule.temperature)
+    value = _tce_value(evid / s, y, b.schedule.temperature)
     return value, np.where(evid_true / s < PROB_FLOOR, 0.0, grad)
 
 
@@ -229,17 +245,21 @@ LOSS_KINDS = tuple(_KINDS)
 
 
 def _loss_and_grad(kind: str, a, y, schedule: Schedule):
-    """Per-sample loss of ``kind`` and its alpha-gradient; inputs unchecked.
-
-    S, psi(alpha) and psi'(alpha) are computed once, for all the terms.
+    """Per-sample loss of ``kind`` and its alpha-gradient; inputs unchecked
+    (alpha > 0).  One psi/psi' and one log-gamma kernel call serve all terms.
     """
     terms = _KINDS.get(kind)
     if terms is None:
         raise ValueError(f"unknown loss kind {kind!r}")
-    shared = (a, y, a.sum(axis=-1, keepdims=True), digamma(a), trigamma(a), schedule)
-    loss, grad = terms[0](*shared)
+    s = a.sum(axis=-1, keepdims=True)
+    a_hat = _adjust(a, y)
+    total = a_hat.sum(axis=-1, keepdims=True)
+    psi, tri = _psi_trigamma(np.concatenate([a, s, total], axis=-1))
+    lg = _log_gamma(np.concatenate([a_hat, total], axis=-1))
+    shared = _Shared(a, y, s, a_hat, total, psi, tri, lg, schedule)
+    loss, grad = terms[0](shared)
     for term in terms[1:]:
-        value, g = term(*shared)
+        value, g = term(shared)
         loss, grad = loss + value, grad + g
     return loss, grad
 
@@ -248,6 +268,8 @@ def _checked_loss_and_grad(kind: str, alpha, y, schedule: Schedule):
     a = np.asarray(alpha, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_pair(a, y)
+    if np.any(a <= 0.0):
+        raise ValueError("alpha must be > 0")
     if _tce in _KINDS.get(kind, ()):
         _check_temperature(schedule.temperature)
     return _loss_and_grad(kind, a, y, schedule)

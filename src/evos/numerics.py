@@ -7,8 +7,13 @@ independent references:
 
 * ``log_gamma`` uses the Lanczos approximation (g=7, 9 coefficients) with
   the reflection formula below 0.5.
-* ``digamma`` / ``trigamma`` lift the argument above 6 with the recurrence
-  relations, then evaluate the asymptotic (Bernoulli) series.
+* ``digamma`` and ``trigamma`` share one recurrence, psi(x) = psi(x+1) - 1/x
+  and psi'(x) = psi'(x+1) + 1/x^2, that lifts every entry above 6 for the
+  asymptotic (Bernoulli) series.
+
+The public functions validate their argument (finite, > 0), then call the
+unchecked kernels ``_log_gamma`` and ``_psi_trigamma``.  The training loss
+calls the kernels directly, once per step each, on stacked arrays.
 """
 
 from __future__ import annotations
@@ -44,6 +49,12 @@ _LANCZOS_COEF = np.array(
     ]
 )
 
+# Asymptotic (Bernoulli) series in i2 = 1/x^2, innermost Horner coefficient
+# first: psi(x) ~ ln x - 1/(2x) - i2 (1/12 - i2 (1/120 - i2 (1/252 - ...)))
+# and psi'(x) ~ 1/x + i2/2 + (i2/x) (1/6 - i2 (1/30 - i2 (1/42 - ...))).
+_PSI_SERIES = (1 / 12, 691 / 32760, 1 / 132, 1 / 240, 1 / 252, 1 / 120, 1 / 12)
+_TRI_SERIES = (7 / 6, 691 / 2730, 5 / 66, 1 / 30, 1 / 42, 1 / 30, 1 / 6)
+
 
 def _asarray(x) -> tuple[np.ndarray, bool]:
     a = np.asarray(x, dtype=np.float64)
@@ -70,14 +81,12 @@ def softplus(x):
 
 
 def sigmoid(x):
-    """Logistic function, the derivative of softplus. Overflow-safe."""
+    """Logistic function, the derivative of softplus. Overflow-safe: e^-|x|
+    never overflows, and each branch divides by 1 + e^-|x| >= 1."""
     a, scalar = _asarray(x)
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ex = np.exp(a[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return _unwrap(out, scalar)
+    pos = a >= 0.0
+    e = np.exp(np.where(pos, -a, a))
+    return _unwrap(np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e)), scalar)
 
 
 def _lanczos_log_gamma(x: np.ndarray) -> np.ndarray:
@@ -90,6 +99,19 @@ def _lanczos_log_gamma(x: np.ndarray) -> np.ndarray:
     return _LN_SQRT_2PI + (z + 0.5) * np.log(t) - t + np.log(s)
 
 
+def _log_gamma(a: np.ndarray) -> np.ndarray:
+    # Unchecked: a must be finite and > 0.
+    small = a < 0.5
+    if not small.any():
+        return _lanczos_log_gamma(a)
+    # reflection: ln Gamma(x) = ln(pi / sin(pi x)) - ln Gamma(1 - x)
+    out = np.empty_like(a)
+    xs = a[small]
+    out[small] = np.log(np.pi / np.sin(np.pi * xs)) - _lanczos_log_gamma(1.0 - xs)
+    out[~small] = _lanczos_log_gamma(a[~small])
+    return out
+
+
 def log_gamma(x):
     """ln Gamma(x) for x > 0, Lanczos approximation.
 
@@ -99,90 +121,45 @@ def log_gamma(x):
     a, scalar = _asarray(x)
     if np.any(a <= 0.0) or not np.all(np.isfinite(a)):
         raise ValueError("log_gamma: argument must be finite and > 0")
-    out = np.empty_like(a)
-    small = a < 0.5
-    if np.any(small):
-        # reflection: ln Gamma(x) = ln(pi / sin(pi x)) - ln Gamma(1 - x)
-        xs = a[small]
-        out[small] = np.log(np.pi / np.sin(np.pi * xs)) - _lanczos_log_gamma(1.0 - xs)
-    out[~small] = _lanczos_log_gamma(a[~small])
-    return _unwrap(out, scalar)
+    return _unwrap(_log_gamma(a), scalar)
+
+
+def _psi_trigamma(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Unchecked: x must be finite and > 0.  The 0/1 step mask leaves entries
+    # already >= 6 bit-for-bit unchanged (y - 0/a == y, a + 0 == a).
+    a = np.array(x, dtype=np.float64)
+    psi, tri = np.zeros_like(a), np.zeros_like(a)
+    low = a < 6.0
+    while low.any():
+        step = low.astype(np.float64)
+        psi -= step / a
+        tri += step / (a * a)
+        a += step
+        low = a < 6.0
+    i2 = 1.0 / (a * a)
+    h_psi, h_tri = _PSI_SERIES[0], _TRI_SERIES[0]
+    for c_psi, c_tri in zip(_PSI_SERIES[1:], _TRI_SERIES[1:]):
+        h_psi = c_psi - i2 * h_psi
+        h_tri = c_tri - i2 * h_tri
+    psi = psi + np.log(a) - 0.5 / a - i2 * h_psi
+    tri = tri + 1.0 / a + 0.5 * i2 + i2 / a * h_tri
+    return psi, tri
 
 
 def digamma(x):
-    """psi(x) = d/dx ln Gamma(x) for x > 0.
-
-    Uses psi(x) = psi(x+1) - 1/x to lift the argument above 6, then the
-    asymptotic series in 1/x^2.  Absolute error < 1e-12.
-    """
+    """psi(x) = d/dx ln Gamma(x) for x > 0.  Absolute error < 1e-12."""
     a, scalar = _asarray(x)
     if np.any(a <= 0.0) or not np.all(np.isfinite(a)):
         raise ValueError("digamma: argument must be finite and > 0")
-    a = a.copy()
-    acc = np.zeros_like(a)
-    low = a < 6.0
-    while np.any(low):
-        acc[low] -= 1.0 / a[low]
-        a[low] += 1.0
-        low = a < 6.0
-    i2 = 1.0 / (a * a)
-    # Bernoulli tail: 1/12 x^-2 - 1/120 x^-4 + ... (Horner form)
-    tail = i2 * (
-        1.0 / 12.0
-        - i2
-        * (
-            1.0 / 120.0
-            - i2
-            * (
-                1.0 / 252.0
-                - i2
-                * (
-                    1.0 / 240.0
-                    - i2
-                    * (1.0 / 132.0 - i2 * (691.0 / 32760.0 - i2 * (1.0 / 12.0)))
-                )
-            )
-        )
-    )
-    out = acc + np.log(a) - 0.5 / a - tail
-    return _unwrap(out, scalar)
+    return _unwrap(_psi_trigamma(a)[0], scalar)
 
 
 def trigamma(x):
-    """psi'(x), the derivative of digamma, for x > 0.
-
-    Same scheme as digamma: recurrence psi'(x) = psi'(x+1) + 1/x^2 up to 6,
-    then the asymptotic series.  Absolute error < 1e-12.
-    """
+    """psi'(x), the derivative of digamma, for x > 0.  Absolute error < 1e-12."""
     a, scalar = _asarray(x)
     if np.any(a <= 0.0) or not np.all(np.isfinite(a)):
         raise ValueError("trigamma: argument must be finite and > 0")
-    a = a.copy()
-    acc = np.zeros_like(a)
-    low = a < 6.0
-    while np.any(low):
-        acc[low] += 1.0 / (a[low] * a[low])
-        a[low] += 1.0
-        low = a < 6.0
-    i2 = 1.0 / (a * a)
-    horner = (
-        1.0 / 6.0
-        - i2
-        * (
-            1.0 / 30.0
-            - i2
-            * (
-                1.0 / 42.0
-                - i2
-                * (
-                    1.0 / 30.0
-                    - i2 * (5.0 / 66.0 - i2 * (691.0 / 2730.0 - i2 * (7.0 / 6.0)))
-                )
-            )
-        )
-    )
-    out = acc + 1.0 / a + 0.5 * i2 + i2 / a * horner
-    return _unwrap(out, scalar)
+    return _unwrap(_psi_trigamma(a)[1], scalar)
 
 
 def softmax(logits, axis: int = -1):

@@ -24,7 +24,7 @@ class Predictions:
         n = len(self.predicted)
         if not (len(self.labels) == len(self.uncertainty) == self.probs.shape[0] == n):
             raise ValueError("Predictions: column lengths differ")
-        if np.any(self.uncertainty < 0.0) or np.any(self.uncertainty > 1.0):
+        if not np.all((self.uncertainty >= 0.0) & (self.uncertainty <= 1.0)):  # NaN too
             raise ValueError("Predictions: uncertainty outside [0, 1]")
 
     def __len__(self) -> int:

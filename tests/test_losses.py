@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate
 
+from evos import losses
+from evos.data import gen_blobs
 from evos.head import dirichlet_from_evidence, opinion_from_alpha
 from evos.losses import (
     LOSS_KINDS,
+    PROB_FLOOR,
     Schedule,
     adjusted_alpha,
     ce_loss,
@@ -25,7 +28,8 @@ from evos.losses import (
     per_sample_loss,
     tempered_ce,
 )
-from evos.numerics import digamma, sigmoid, softmax, softplus, trigamma
+from evos.numerics import digamma, log_gamma, sigmoid, softmax, softplus, trigamma
+from evos.training import TrainConfig, train
 
 PI2_6 = math.pi**2 / 6.0
 
@@ -344,6 +348,7 @@ _BAD_INPUTS = [
         for what, alpha, y in (
             ("shape", _GOOD_ALPHA, _GOOD_Y[:, :2]),
             ("non-finite", np.array([[3.0, np.nan, 2.0]]), _GOOD_Y),
+            ("non-positive", np.array([[3.0, 0.0, 2.0]]), _GOOD_Y),
             ("soft-labels", _GOOD_ALPHA, np.array([[0.5, 0.5, 0.0]])),
             ("two-hot", _GOOD_ALPHA, np.array([[1.0, 1.0, 0.0]])),
         )
@@ -387,3 +392,131 @@ def test_objective_standard_ce_is_softmax_cross_entropy():
     probs = softmax(logits)
     assert loss == float(np.mean(ce_loss(probs, y)))
     assert grad.tobytes() == ((probs - y) / len(logits)).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the objective against the per-function formulation: every term calls the
+# public digamma / trigamma / log_gamma itself, probabilities are clamped with
+# np.clip, and sigmoid is piecewise.  The fused loss must reproduce it bit
+# for bit.
+
+
+def _ref_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _ref_ce_value(p, y):
+    return -np.sum(y * np.log(np.clip(p, PROB_FLOOR, None)), axis=-1)
+
+
+def _ref_kl_value(a_hat, total, psi_hat):
+    k = a_hat.shape[-1]
+    return (
+        log_gamma(np.squeeze(total, axis=-1))
+        - log_gamma(float(k))
+        - np.sum(log_gamma(a_hat), axis=-1)
+        + np.sum((a_hat - 1.0) * (psi_hat - digamma(total)), axis=-1)
+    )
+
+
+def _ref_ce(a, y, s, psi, tri, schedule):
+    clamped = np.sum(y * a, axis=-1, keepdims=True) / s < PROB_FLOOR
+    return _ref_ce_value(a / s, y), np.where(clamped, 0.0, 1.0 / s - y / a)
+
+
+def _ref_unce(a, y, s, psi, tri, schedule):
+    return np.sum(y * (digamma(s) - psi), axis=-1), trigamma(s) - y * tri
+
+
+def _ref_kl(a, y, s, psi, tri, schedule):
+    a_hat = y + (1.0 - y) * a
+    total = a_hat.sum(axis=-1, keepdims=True)
+    inner = (a_hat - 1.0) * tri - (total - a.shape[-1]) * trigamma(total)
+    return _ref_kl_value(a_hat, total, psi), (1.0 - y) * inner
+
+
+def _ref_annealed_kl(a, y, s, psi, tri, schedule):
+    value, grad = _ref_kl(a, y, s, psi, tri, schedule)
+    return schedule.kl_weight * value, schedule.kl_weight * grad
+
+
+def _ref_tce(a, y, s, psi, tri, schedule):
+    evid_true = np.sum(y * (a - 1.0), axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        on = -(s - evid_true) / (evid_true * s)
+    grad = np.where(y == 1.0, on, 1.0 / s)
+    b = np.clip((a - 1.0) / s, PROB_FLOOR, None)
+    value = -np.sum(y * np.log(b / schedule.temperature), axis=-1)
+    return value, np.where(evid_true / s < PROB_FLOOR, 0.0, grad)
+
+
+_REF_KINDS = {
+    "ce": (_ref_ce,),
+    "unce": (_ref_unce,),
+    "kl": (_ref_kl,),
+    "un": (_ref_unce, _ref_annealed_kl),
+    "tce": (_ref_tce,),
+    "tun": (_ref_unce, _ref_annealed_kl, _ref_tce),
+}
+
+
+def _reference_loss_and_grad(kind, a, y, schedule):
+    shared = (a, y, a.sum(axis=-1, keepdims=True), digamma(a), trigamma(a), schedule)
+    terms = _REF_KINDS[kind]
+    loss, grad = terms[0](*shared)
+    for term in terms[1:]:
+        value, g = term(*shared)
+        loss, grad = loss + value, grad + g
+    return loss, grad
+
+
+def _reference_objective(kind, logits, y, schedule):
+    n = len(logits)
+    if kind == "standard_ce":
+        probs = softmax(logits)
+        return float(np.mean(_ref_ce_value(probs, y))), (probs - y) / n
+    per, grad_alpha = _reference_loss_and_grad(kind, softplus(logits) + 1.0, y, schedule)
+    return float(np.mean(per)), grad_alpha * _ref_sigmoid(logits) / n
+
+
+@pytest.mark.parametrize("kind", ("standard_ce", *LOSS_KINDS))
+def test_objective_bit_identical_to_per_function_reference(kind):
+    rng = np.random.default_rng(20)
+    for trial in range(60):
+        k, n = int(rng.integers(2, 10)), int(rng.integers(1, 65))
+        logits = rng.uniform(-50.0, 50.0, size=(n, k)) * rng.choice([0.05, 1.0])
+        y = np.eye(k)[rng.integers(0, k, size=n)]
+        if trial % 3 == 0:  # rows at the clamp edges: true-class evidence ~ e^-50
+            logits[:, 0], y = -50.0, np.eye(k)[np.zeros(n, dtype=int)]
+        for epoch in (0, 5, 20):
+            sch = Schedule.for_epoch(epoch)
+            loss, grad = objective(kind, logits, y, sch)
+            ref_loss, ref_grad = _reference_objective(kind, logits, y, sch)
+            assert loss == ref_loss, (trial, epoch)
+            assert grad.tobytes() == ref_grad.tobytes(), (trial, epoch)
+
+
+@pytest.mark.parametrize("kind", ("ce", "kl", "un", "tun"))
+def test_entry_points_bit_identical_below_one(kind):
+    # alpha in (0, 1) reaches log-gamma's reflection branch through alpha_hat
+    rng = np.random.default_rng(21)
+    alpha = rng.uniform(0.01, 3.0, size=(40, 4))
+    y = np.eye(4)[rng.integers(0, 4, size=40)]
+    sch = Schedule.for_epoch(7)
+    ref_loss, ref_grad = _reference_loss_and_grad(kind, alpha, y, sch)
+    assert per_sample_loss(kind, alpha, y, sch).tobytes() == ref_loss.tobytes()
+    assert loss_grad_alpha(kind, alpha, y, sch).tobytes() == ref_grad.tobytes()
+
+
+@pytest.mark.parametrize("objective_kind", ("un", "tun"))
+def test_training_bit_identical_with_reference_objective(objective_kind, monkeypatch):
+    ds = gen_blobs(n_per_class=60, n_classes=3, seed=4)
+    cfg = TrainConfig(epochs=5, learning_rate=1e-3, objective=objective_kind, seed=2)
+    fused = train(ds, None, cfg).model.params.flat
+    monkeypatch.setattr(losses, "objective", _reference_objective)
+    assert np.array_equal(train(ds, None, cfg).model.params.flat, fused)

@@ -208,6 +208,17 @@ def test_ovr_auc_warns_and_skips_unrepresented_class():
 
 
 # ---------------------------------------------------------------------------
+# records
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.1])
+def test_records_reject_uncertainty_outside_unit_interval(bad):
+    # NaN passes both "u < 0" and "u > 1" tests; it must still be rejected
+    with pytest.raises(ValueError, match="uncertainty outside"):
+        from_scores(np.full((3, 2), 0.5), [0.1, bad, 0.9], [0, 1, -1])
+
+
+# ---------------------------------------------------------------------------
 # ood_detection_rate
 
 

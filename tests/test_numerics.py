@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from evos.numerics import (
+    _psi_trigamma,
     digamma,
     entropy,
     log_beta,
@@ -73,6 +74,17 @@ def test_sigmoid_is_softplus_derivative():
     h = 1e-6
     fd = (softplus(xs + h) - softplus(xs - h)) / (2 * h)
     assert_allclose(sigmoid(xs), fd, atol=1e-9)
+
+
+def test_sigmoid_bit_identical_to_piecewise_form():
+    xs = np.array([0.0, -0.0, 30.0, -30.0, 745.0, -745.0, np.inf, -np.inf, np.nan])
+    xs = np.concatenate([xs, np.random.default_rng(3).normal(scale=40.0, size=200)])
+    pos = xs >= 0
+    want = np.empty_like(xs)
+    want[pos] = 1.0 / (1.0 + np.exp(-xs[pos]))
+    want[~pos] = np.exp(xs[~pos]) / (1.0 + np.exp(xs[~pos]))
+    assert sigmoid(xs).tobytes() == want.tobytes()
+    assert [sigmoid(float(x)) for x in xs[:8]] == want[:8].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +185,72 @@ def test_trigamma_domain_errors():
 @given(st.floats(min_value=0.01, max_value=50.0))
 def test_trigamma_recurrence(x):
     assert trigamma(x) - trigamma(x + 1.0) == pytest.approx(1.0 / x**2, rel=1e-8, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the shared psi / psi' kernel
+
+
+def _reference_psi_trigamma(x):
+    """The recurrence on fancy-indexed entries, as digamma and trigamma
+    once ran it, with the same Bernoulli tails."""
+    a = np.array(x, dtype=np.float64)
+    psi, tri = np.zeros_like(a), np.zeros_like(a)
+    low = a < 6.0
+    while np.any(low):
+        psi[low] -= 1.0 / a[low]
+        tri[low] += 1.0 / (a[low] * a[low])
+        a[low] += 1.0
+        low = a < 6.0
+    i2 = 1.0 / (a * a)
+    psi_tail = i2 * (
+        1.0 / 12.0
+        - i2 * (
+            1.0 / 120.0
+            - i2 * (
+                1.0 / 252.0
+                - i2 * (
+                    1.0 / 240.0
+                    - i2 * (1.0 / 132.0 - i2 * (691.0 / 32760.0 - i2 * (1.0 / 12.0)))
+                )
+            )
+        )
+    )
+    tri_horner = (
+        1.0 / 6.0
+        - i2 * (
+            1.0 / 30.0
+            - i2 * (
+                1.0 / 42.0
+                - i2 * (
+                    1.0 / 30.0
+                    - i2 * (5.0 / 66.0 - i2 * (691.0 / 2730.0 - i2 * (7.0 / 6.0)))
+                )
+            )
+        )
+    )
+    psi = psi + np.log(a) - 0.5 / a - psi_tail
+    return psi, tri + 1.0 / a + 0.5 * i2 + i2 / a * tri_horner
+
+
+def _assert_kernel_matches_public(xs):
+    psi, tri = _psi_trigamma(xs)
+    assert np.array_equal(psi, digamma(xs)) and np.array_equal(tri, trigamma(xs))
+    assert psi.tolist() == [digamma(float(x)) for x in xs]
+    assert tri.tolist() == [trigamma(float(x)) for x in xs]
+    ref_psi, ref_tri = _reference_psi_trigamma(xs)
+    assert np.array_equal(psi, ref_psi) and np.array_equal(tri, ref_tri)
+
+
+def test_psi_trigamma_kernel_edges():
+    edges = [*range(1, 7), np.nextafter(6.0, 0.0), np.nextafter(6.0, np.inf), 1e150]
+    _assert_kernel_matches_public(np.array(edges, dtype=np.float64))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.floats(min_value=1.0, max_value=1e6), min_size=1, max_size=40))
+def test_psi_trigamma_kernel_matches_public(values):
+    _assert_kernel_matches_public(np.array(values))
 
 
 # ---------------------------------------------------------------------------
