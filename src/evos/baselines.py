@@ -23,7 +23,7 @@ import numpy as np
 from . import mlp
 from .errors import DataError
 from .numerics import entropy, softmax
-from .training import Model, evidential_alpha
+from .training import Model, evidential_scores
 
 METHODS = ("uios", "entropy", "mc_drop", "ensemble", "tta")
 
@@ -33,7 +33,7 @@ DEFAULT_JITTER_SIGMA = 0.1
 
 
 def _probs(params: mlp.MlpParams, x: np.ndarray, masks=None) -> np.ndarray:
-    return softmax(mlp.infer(params, x, masks))
+    return mlp.infer(params, x, masks, head=softmax)
 
 
 def _normalized_entropy(probs: np.ndarray) -> np.ndarray:
@@ -44,9 +44,7 @@ def uios_score(model: Model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evidential probabilities alpha/S and uncertainty mass K/S."""
     if not model.is_evidential:
         raise DataError("uios_score: model was not trained with an evidential objective")
-    alpha = evidential_alpha(model, x)
-    strength = alpha.sum(axis=-1, keepdims=True)
-    return alpha / strength, model.config.output_dim / strength[:, 0]
+    return evidential_scores(model, x)
 
 
 def entropy_score(model: Model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

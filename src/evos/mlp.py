@@ -9,6 +9,10 @@ validates it against central differences.
 Dropout is the inverted kind (mask / (1 - rate)) and is only applied when
 the caller passes masks, so plain forward passes are deterministic.  The
 Monte Carlo dropout baseline supplies fresh masks per pass.
+
+Scoring (``infer``) runs in blocks of ``BLOCK_ROWS`` rows, so that a block's
+layers and the caller's row-wise head stay in L2 cache and the intermediates
+are O(block), not one (n, 32) array per layer; the bits are ``forward``'s.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError
+
+BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -118,8 +124,10 @@ def _checked_batch(params: MlpParams, batch, dropout_masks) -> np.ndarray:
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.weights[0].shape[0]:
         raise ValueError("forward: batch shape does not match the first layer")
-    if dropout_masks is not None and len(dropout_masks) != len(params.weights) - 1:
-        raise ValueError("forward: need one dropout mask per hidden layer")
+    if dropout_masks is not None:
+        shapes = [(len(x), w.shape[1]) for w in params.weights[:-1]]
+        if [np.shape(m) for m in dropout_masks] != shapes:
+            raise ValueError("forward: need one (rows, width) dropout mask per hidden layer")
     return x
 
 
@@ -150,22 +158,36 @@ def infer(
     params: MlpParams,
     batch: np.ndarray,
     dropout_masks: list[np.ndarray] | None = None,
+    head=None,
 ) -> np.ndarray:
-    """The outputs of ``forward`` without its trace, for scoring.
-
-    Bit-identical to ``forward(params, batch, dropout_masks)[0]``: the same
-    operations in the same order, done in place on one new array per layer.
-    """
-    h = _checked_batch(params, batch, dropout_masks)
-    n_hidden = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w
-        h += b
-        if i < n_hidden:
-            np.maximum(h, 0.0, out=h)
-            if dropout_masks is not None:
-                h *= dropout_masks[i]
-    return h
+    """``forward(params, batch, dropout_masks)[0]`` bit for bit, for scoring,
+    in blocks of at most ``BLOCK_ROWS + 1`` rows.  A row-wise ``head`` maps
+    each block's outputs while they are in cache; with no rows it sees one
+    empty block, so a head that rejects empty input raises."""
+    x = _checked_batch(params, batch, dropout_masks)
+    n, n_hidden = len(x), len(params.weights) - 1
+    # A lone last row joins the block before it: numpy multiplies a 1-row
+    # matrix by another (gemv) kernel, whose last bits differ.
+    starts = list(range(0, n, BLOCK_ROWS)) or [0]
+    if n > 1 and n - starts[-1] == 1:
+        starts.pop()
+    out = None
+    for start, stop in zip(starts, [*starts[1:], n]):
+        rows = slice(start, stop)
+        h = x[rows]
+        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+            h = h @ w
+            h += b
+            if i < n_hidden:
+                np.maximum(h, 0.0, out=h)
+                if dropout_masks is not None:
+                    h *= dropout_masks[i][rows]
+        if head is not None:
+            h = head(h)
+        if out is None:
+            out = np.empty((n, *h.shape[1:]), dtype=h.dtype)
+        out[rows] = h
+    return out
 
 
 def backward(trace: ForwardTrace, params: MlpParams, grad_out: np.ndarray) -> MlpParams:

@@ -20,7 +20,7 @@ import numpy as np
 from . import losses, mlp
 from .data import Dataset, one_hot
 from .errors import DataError, NumericError
-from .head import DirichletParams, EvidenceGate, SubjectiveOpinion, opinion_from_alpha
+from .head import DirichletParams, EvidenceGate, opinion_from_alpha
 from .numerics import entropy, softmax, softplus
 from .records import Predictions, from_scores
 
@@ -198,18 +198,28 @@ def evidential_alpha(model: Model, features) -> np.ndarray:
     evidential model, one row per input, with g from ``model.gate`` (no
     factor when the model has no gate).
 
-    The one evidential scoring path: ``predict`` and
-    ``baselines.uios_score`` both start from it.  Deterministic: no dropout.
+    The one evidential scoring path: ``predict``, ``predict_records`` and
+    ``baselines.uios_score`` all start from it.  Deterministic: no dropout.
     """
+
+    def alpha_of(logits):
+        if not np.all(np.isfinite(logits)):
+            raise NumericError("non-finite logits")
+        alpha = softplus(logits)
+        if model.gate is not None:
+            alpha *= model.gate.factor(logits)[:, None]
+        alpha += 1.0
+        return alpha
+
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    logits = mlp.infer(model.params, x)
-    if not np.all(np.isfinite(logits)):
-        raise NumericError("non-finite logits")
-    alpha = softplus(logits)
-    if model.gate is not None:
-        alpha *= model.gate.factor(logits)[:, None]
-    alpha += 1.0
-    return alpha
+    return mlp.infer(model.params, x, head=alpha_of)
+
+
+def evidential_scores(model: Model, features) -> tuple[np.ndarray, np.ndarray]:
+    """Evidential probabilities alpha/S and uncertainty mass K/S."""
+    alpha = evidential_alpha(model, features)
+    strength = alpha.sum(axis=-1, keepdims=True)
+    return alpha / strength, model.config.output_dim / strength[:, 0]
 
 
 def predict(model: Model, features: np.ndarray):
@@ -220,7 +230,7 @@ def predict(model: Model, features: np.ndarray):
     if model.is_evidential:
         return opinion_from_alpha(DirichletParams(evidential_alpha(model, features)))
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    return softmax(mlp.infer(model.params, x))
+    return mlp.infer(model.params, x, head=softmax)
 
 
 def predict_records(model: Model, ds: Dataset) -> Predictions:
@@ -230,11 +240,10 @@ def predict_records(model: Model, ds: Dataset) -> Predictions:
     standard models it is the normalized softmax entropy (the entropy
     baseline), so every model yields records in the same format.
     """
-    out = predict(model, ds.features)
-    if isinstance(out, SubjectiveOpinion):
-        return from_scores(out.probs, np.atleast_1d(out.uncertainty), ds.labels)
-    u = entropy(out) / np.log(out.shape[-1])
-    return from_scores(out, u, ds.labels)
+    if model.is_evidential:
+        return from_scores(*evidential_scores(model, ds.features), ds.labels)
+    probs = predict(model, ds.features)
+    return from_scores(probs, entropy(probs) / np.log(probs.shape[-1]), ds.labels)
 
 
 def accuracy(model: Model, ds: Dataset) -> float:

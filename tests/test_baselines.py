@@ -1,6 +1,8 @@
 """The five uncertainty scoring methods share one contract: per sample, a
 probability vector plus a scalar uncertainty in [0, 1]."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,10 +17,12 @@ from evos.baselines import (
     tta_score,
     uios_score,
 )
-from evos.data import circle_centers, gen_blobs, split_622
+from evos.data import Dataset, circle_centers, gen_blobs, split_622
 from evos.errors import DataError
-from evos.mlp import MlpConfig
-from evos.training import Model, TrainConfig, train
+from evos.head import DirichletParams, EvidenceGate, opinion_from_alpha
+from evos.mlp import BLOCK_ROWS, MlpConfig
+from evos.numerics import entropy, softmax, softplus
+from evos.training import Model, TrainConfig, evidential_alpha, predict_records, train
 
 LN2 = np.log(2.0)
 
@@ -313,3 +317,119 @@ def test_every_method_uncertainty_in_unit_interval(
         assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12, err_msg=method)
         assert u.shape == (100,), method
         assert np.all((u >= 0.0) & (u <= 1.0)), method
+
+
+# ---------------------------------------------------------------------------
+# blocked scoring against a whole-array reference
+
+
+def _score_whole(method, model, x, snapshots=None, seed=0):
+    """Every scorer done on all rows at once, as before scoring ran in row
+    blocks: ``forward``'s full (n, width) arrays, then softplus, the gate or
+    softmax on the whole (n, K) logits, with the same RNG draws."""
+
+    def probs(params, xx, masks=None):
+        return softmax(mlp.forward(params, xx, masks)[0])
+
+    def normalized_entropy(p):
+        return entropy(p) / np.log(p.shape[-1])
+
+    if method == "alpha":
+        logits = mlp.forward(model.params, x)[0]
+        alpha = softplus(logits)
+        if model.gate is not None:
+            alpha *= model.gate.factor(logits)[:, None]
+        alpha += 1.0
+        return alpha
+    if method == "uios":
+        op = opinion_from_alpha(DirichletParams(_score_whole("alpha", model, x)))
+        return op.probs, op.uncertainty
+    if method == "entropy":
+        p = probs(model.params, x)
+        return p, normalized_entropy(p)
+    rng = np.random.default_rng(seed)
+    if method == "mc_drop":
+        passes = [mlp.make_dropout_masks(model.config, len(x), rng)
+                  for _ in range(baselines.DEFAULT_PASSES)]
+        mean = sum(probs(model.params, x, m) for m in passes) / len(passes)
+        return mean, normalized_entropy(mean)
+    if method == "ensemble":
+        mean = sum(probs(p, x) for p in snapshots) / len(snapshots)
+        return mean, normalized_entropy(mean)
+    assert method == "tta"
+    stack = np.stack([
+        probs(model.params, x + baselines.DEFAULT_JITTER_SIGMA * rng.standard_normal(x.shape))
+        for _ in range(baselines.DEFAULT_PASSES)
+    ])
+    return stack.mean(axis=0), 4.0 * stack.var(axis=0, ddof=0).mean(axis=-1)
+
+
+@pytest.fixture(scope="module")
+def wide_rows():
+    """2B + 13 rows, most of them far outside the training blobs, so that
+    the evidence gate damps many of them."""
+    return np.random.default_rng(5).normal(0.0, 8.0, size=(2 * BLOCK_ROWS + 13, 2))
+
+
+def test_blocked_scorers_bit_identical_to_whole_array(
+    standard_result, dropout_model, evidential_model, wide_rows
+):
+    x = wide_rows
+    gated = evidential_model
+    assert np.any(gated.gate.factor(mlp.forward(gated.params, x)[0]) < 1.0)
+    models = {
+        "uios": gated,
+        "entropy": standard_result.model,
+        "mc_drop": dropout_model,
+        "ensemble": standard_result.model,
+        "tta": standard_result.model,
+    }
+    snaps = standard_result.snapshots
+    for method in METHODS:
+        got = score_method(method, models[method], x, snapshots=snaps, seed=4)
+        want = _score_whole(method, models[method], x, snapshots=snaps, seed=4)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), method
+    assert np.array_equal(evidential_alpha(gated, x), _score_whole("alpha", gated, x))
+
+
+def test_predict_records_bit_identical_to_whole_array(
+    standard_result, evidential_model, wide_rows
+):
+    labels = np.arange(len(wide_rows)) % 5
+    ds = Dataset(features=wide_rows, labels=labels, n_classes=5)
+    for model, method in ((evidential_model, "uios"), (standard_result.model, "entropy")):
+        recs = predict_records(model, ds)
+        probs, u = _score_whole(method, model, wide_rows)
+        assert np.array_equal(recs.probs, probs), method
+        assert np.array_equal(recs.uncertainty, u), method
+        assert np.array_equal(recs.predicted, np.argmax(probs, axis=-1)), method
+        assert np.array_equal(recs.labels, labels), method
+
+
+@pytest.mark.parametrize("scorer", ["evidential_alpha", "predict_records", "entropy_score"])
+def test_scoring_memory_is_bounded(scorer):
+    # blocked scoring holds one block's hidden layers, not an (n, 32) array
+    # per layer: the whole-array form peaked near 98 MiB here
+    n, k = 200_000, 5
+    rng = np.random.default_rng(6)
+    x = rng.normal(0.0, 4.0, size=(n, 2))
+    cfg = MlpConfig(input_dim=2, output_dim=k, seed=6)
+    params = mlp.init_params(cfg)
+    objective = "standard_ce" if scorer == "entropy_score" else "tun"
+    model = Model(config=cfg, params=params, objective=objective)
+    if model.is_evidential:
+        model.gate = EvidenceGate.fit(mlp.forward(params, x[:500])[0], np.arange(500) % k)
+    ds = Dataset(features=x, labels=np.zeros(n, dtype=np.int64), n_classes=k)
+    run = {
+        "evidential_alpha": lambda: evidential_alpha(model, x),
+        "predict_records": lambda: predict_records(model, ds),
+        "entropy_score": lambda: entropy_score(model, x),
+    }[scorer]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"

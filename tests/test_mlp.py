@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from evos.head import opinion_from_features
 from evos.losses import LOSS_KINDS, Schedule, objective
 from evos.mlp import (
+    BLOCK_ROWS,
     ForwardTrace,
     MlpConfig,
     MlpParams,
@@ -113,6 +114,57 @@ def test_infer_bit_identical_to_forward(with_masks):
     masks = make_dropout_masks(cfg, 64, rng) if with_masks else None
     out, _ = forward(p, x, dropout_masks=masks)
     assert infer(p, x, dropout_masks=masks).tobytes() == out.tobytes()
+
+
+B = BLOCK_ROWS
+
+
+@pytest.mark.parametrize("with_masks", [False, True])
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+def test_infer_bit_identical_to_forward_at_block_edges(n, with_masks):
+    # 3B + 7 ends in a short block; B + 1 would end in a lone row, which
+    # numpy multiplies by another kernel
+    cfg = MlpConfig(input_dim=2, output_dim=5, dropout_rate=0.25, seed=11)
+    p = init_params(cfg)
+    rng = np.random.default_rng(n)
+    x = rng.normal(0.0, 5.0, size=(n, 2))
+    masks = make_dropout_masks(cfg, n, rng) if with_masks else None
+    out, _ = forward(p, x, dropout_masks=masks)
+    got = infer(p, x, dropout_masks=masks)
+    assert got.shape == out.shape == (n, 5)
+    assert np.array_equal(got, out)
+
+
+def test_infer_head_sees_each_block_once():
+    p = init_params(MlpConfig(input_dim=2, output_dim=5, seed=1))
+    x = np.random.default_rng(2).normal(size=(2 * B + 1, 2))
+    seen = []
+
+    def head(logits):
+        seen.append(len(logits))
+        return logits.sum(axis=1)
+
+    got = infer(p, x, head=head)
+    assert seen == [B, B + 1]
+    assert np.array_equal(got, forward(p, x)[0].sum(axis=1))
+    seen.clear()
+    assert infer(p, x[:0], head=head).shape == (0,)
+    assert seen == [0]
+
+
+@pytest.mark.parametrize("fn", [forward, infer])
+@pytest.mark.parametrize("bad", ["one_row", "extra_row", "extra_column"])
+def test_dropout_masks_of_the_wrong_shape_raise(fn, bad):
+    # a (1, h) mask would broadcast one mask over every row
+    cfg = small_config(hidden_dims=(5, 4), dropout_rate=0.3)
+    p = init_params(cfg)
+    x = np.zeros((4, 2))
+    rows, extra = {"one_row": (1, 0), "extra_row": (5, 0), "extra_column": (4, 1)}[bad]
+    masks = [np.ones((rows, h + extra)) for h in cfg.hidden_dims]
+    with pytest.raises(ValueError, match="dropout mask"):
+        fn(p, x, dropout_masks=masks)
+    with pytest.raises(ValueError, match="dropout mask"):
+        fn(p, x, dropout_masks=masks[:1])
 
 
 def test_forward_shape_mismatch():
