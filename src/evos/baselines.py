@@ -22,7 +22,7 @@ import numpy as np
 
 from . import mlp
 from .errors import DataError
-from .numerics import entropy, softmax
+from .numerics import _row_sum, entropy, softmax
 from .training import Model, evidential_scores
 
 METHODS = ("uios", "entropy", "mc_drop", "ensemble", "tta")
@@ -119,7 +119,8 @@ def tta_score(
         jitter = jitter_sigma * rng.standard_normal(x.shape)
         stack[t] = _probs(model.params, x + jitter)
     mean = stack.mean(axis=0)
-    u = 4.0 * stack.var(axis=0, ddof=0).mean(axis=-1)
+    var = stack.var(axis=0, ddof=0)
+    u = 4.0 * (_row_sum(var) / var.shape[-1])
     return mean, u
 
 

@@ -471,9 +471,12 @@ def cmd_compare(args) -> int:
 
     rows = {}
     timing = {}
+    models = {}  # one load per distinct checkpoint: three methods share standard.json
     for m in methods:
         ckpt = os.path.join(args.checkpoint_dir, _ARTIFACT_FOR_METHOD[m])
-        model, _, _, _ = load_checkpoint(ckpt)
+        if ckpt not in models:
+            models[ckpt], _, _, _ = load_checkpoint(ckpt)
+        model = models[ckpt]
         snapshots = _load_snapshots(ckpt) if m == "ensemble" else None
         val_recs = _method_records(m, model, snapshots, val_set, args)
         cal = calibrate(val_recs, coefficient=args.coefficient)

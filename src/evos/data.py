@@ -18,6 +18,7 @@ OOD rows carry label -1 (written as "ood" in CSV).
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -235,19 +236,96 @@ def split_622(
 # CSV round-trip
 
 
+def _header(dim: int) -> list[str]:
+    return [f"f{i}" for i in range(dim)] + ["label"]
+
+
 def save_csv(ds: Dataset, path) -> None:
     """Header f0,...,f{d-1},label; floats via repr (lossless round-trip)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(ds.dim)] + ["label"])
+        writer.writerow(_header(ds.dim))
         for row, lab in zip(ds.features, ds.labels):
             writer.writerow(
                 [repr(float(v)) for v in row] + ["ood" if lab == OOD_LABEL else int(lab)]
             )
 
 
+# Widest label cell the bulk reader takes; numpy truncates longer ones.
+_LABEL_BYTES = 16
+# The only bytes a file may hold for the bulk reader.
+_BULK_BYTES = bytes(range(0x20, 0x7F)) + b"\r\n"
+
+
 def load_csv(path, name: str | None = None) -> Dataset:
-    """Parse a dataset CSV; malformed content raises DataError naming the line."""
+    """Parse a dataset CSV; malformed content raises DataError naming the line.
+
+    numpy's C reader parses a well-formed file in one pass.  Any file it
+    rejects, or whose values fail a check, is read again line by line: that
+    reader raises the error naming the line, or returns the same data for
+    syntax that only Python's ``float()``/``int()`` accept.
+    """
+    parsed = _parse_bulk(path)
+    feats, labels = parsed if parsed is not None else _parse_lines(path)
+    n_classes = int(labels.max()) + 1 if np.any(labels >= 0) else 0
+    return Dataset(
+        features=feats,
+        labels=labels,
+        n_classes=n_classes,
+        name=name or str(path),
+        meta={"path": str(path)},
+    )
+
+
+def _parse_bulk(path) -> tuple[np.ndarray, np.ndarray] | None:
+    """Features and labels of a well-formed file, or None when the file or
+    a value in it needs the line reader: a non-finite feature, or a label
+    other than ``ood`` and a non-negative decimal integer narrower than
+    ``_LABEL_BYTES``."""
+    rows = _load_rows(path)
+    if rows is None:
+        return None
+    feats = np.ascontiguousarray(rows["f"])
+    cells, inverse = np.unique(rows["label"], return_inverse=True)
+    cells = cells.tolist()
+    if not np.all(np.isfinite(feats)) or not all(
+        c == b"ood" or (c.isdigit() and len(c) < _LABEL_BYTES) for c in cells
+    ):
+        return None
+    table = np.array([OOD_LABEL if c == b"ood" else int(c) for c in cells], dtype=np.int64)
+    return feats, table[inverse]
+
+
+def _load_rows(path) -> np.ndarray | None:
+    """The data rows as (features, label bytes) records, parsed by numpy, or
+    None for a file the line reader could read differently: a byte that is
+    neither printable ASCII nor a line break (numpy strips some control
+    bytes that ``float()`` rejects), a blank line, another header, no rows,
+    or a row numpy cannot parse."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    # numpy skips blank lines (and rejects a CR inside a line itself)
+    blank = b"\n\n" in raw or b"\n\r" in raw
+    if raw.translate(None, _BULK_BYTES) or blank:
+        return None
+    end = raw.find(b"\n")
+    if end in (-1, len(raw) - 1):  # no row after the header
+        return None
+    head = raw[:end].removesuffix(b"\r")
+    dim = head.count(b",")
+    if dim < 1 or head != ",".join(_header(dim)).encode():
+        return None
+    dtype = np.dtype([("f", np.float64, (dim,)), ("label", f"S{_LABEL_BYTES}")])
+    try:
+        return np.loadtxt(
+            io.BytesIO(raw), dtype=dtype, delimiter=",", comments=None,
+            skiprows=1, ndmin=1, encoding="ascii",
+        )
+    except ValueError:
+        return None
+
+
+def _parse_lines(path) -> tuple[np.ndarray, np.ndarray]:
     feats: list[list[float]] = []
     labels: list[int] = []
     with open(path, newline="") as fh:
@@ -257,7 +335,7 @@ def load_csv(path, name: str | None = None) -> Dataset:
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         dim = len(header) - 1
-        expected = [f"f{i}" for i in range(dim)] + ["label"]
+        expected = _header(dim)
         if dim < 1 or header != expected:
             raise DataError(f"{path}: bad header {header!r}, expected {expected!r}")
         for lineno, row in enumerate(reader, start=2):
@@ -286,15 +364,7 @@ def load_csv(path, name: str | None = None) -> Dataset:
             labels.append(lab)
     if not feats:
         raise DataError(f"{path}: no data rows")
-    labels_arr = np.array(labels, dtype=np.int64)
-    n_classes = int(labels_arr.max()) + 1 if np.any(labels_arr >= 0) else 0
-    return Dataset(
-        features=np.array(feats),
-        labels=labels_arr,
-        n_classes=n_classes,
-        name=name or str(path),
-        meta={"path": str(path)},
-    )
+    return np.array(feats), np.array(labels, dtype=np.int64)
 
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from . import losses, mlp
 from .data import Dataset, one_hot
 from .errors import DataError, NumericError
 from .head import DirichletParams, EvidenceGate, opinion_from_alpha
-from .numerics import entropy, softmax, softplus
+from .numerics import _row_sum, entropy, softmax, softplus
 from .records import Predictions, from_scores
 
 OBJECTIVES = ("standard_ce", "un", "tun")
@@ -218,7 +218,7 @@ def evidential_alpha(model: Model, features) -> np.ndarray:
 def evidential_scores(model: Model, features) -> tuple[np.ndarray, np.ndarray]:
     """Evidential probabilities alpha/S and uncertainty mass K/S."""
     alpha = evidential_alpha(model, features)
-    strength = alpha.sum(axis=-1, keepdims=True)
+    strength = _row_sum(alpha)[:, None]
     return alpha / strength, model.config.output_dim / strength[:, 0]
 
 

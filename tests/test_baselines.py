@@ -19,9 +19,9 @@ from evos.baselines import (
 )
 from evos.data import Dataset, circle_centers, gen_blobs, split_622
 from evos.errors import DataError
-from evos.head import DirichletParams, EvidenceGate, opinion_from_alpha
+from evos.head import EvidenceGate
 from evos.mlp import BLOCK_ROWS, MlpConfig
-from evos.numerics import entropy, softmax, softplus
+from evos.numerics import softplus
 from evos.training import Model, TrainConfig, evidential_alpha, predict_records, train
 
 LN2 = np.log(2.0)
@@ -326,13 +326,19 @@ def test_every_method_uncertainty_in_unit_interval(
 def _score_whole(method, model, x, snapshots=None, seed=0):
     """Every scorer done on all rows at once, as before scoring ran in row
     blocks: ``forward``'s full (n, width) arrays, then softplus, the gate or
-    softmax on the whole (n, K) logits, with the same RNG draws."""
+    softmax on the whole (n, K) logits, with the same RNG draws.  The heads
+    are plain-numpy copies of the formulas (``np.max``/``np.sum`` over the
+    class axis), independent of evos's column-loop reductions."""
 
     def probs(params, xx, masks=None):
-        return softmax(mlp.forward(params, xx, masks)[0])
+        z = mlp.forward(params, xx, masks)[0]
+        ex = np.exp(z - np.max(z, axis=-1, keepdims=True))
+        return ex / np.sum(ex, axis=-1, keepdims=True)
 
     def normalized_entropy(p):
-        return entropy(p) / np.log(p.shape[-1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(p > 0.0, p * np.log(p), 0.0)
+        return -np.sum(terms, axis=-1) / np.log(p.shape[-1])
 
     if method == "alpha":
         logits = mlp.forward(model.params, x)[0]
@@ -342,8 +348,9 @@ def _score_whole(method, model, x, snapshots=None, seed=0):
         alpha += 1.0
         return alpha
     if method == "uios":
-        op = opinion_from_alpha(DirichletParams(_score_whole("alpha", model, x)))
-        return op.probs, op.uncertainty
+        alpha = _score_whole("alpha", model, x)
+        strength = np.sum(alpha, axis=-1, keepdims=True)
+        return alpha / strength, alpha.shape[-1] / strength[:, 0]
     if method == "entropy":
         p = probs(model.params, x)
         return p, normalized_entropy(p)

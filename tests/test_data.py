@@ -1,14 +1,20 @@
 """Synthetic data generation, the stratified 6:2:2 split, and the CSV
 round-trip with its strict error reporting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from evos.data import (
     OOD_KINDS,
     OOD_LABEL,
     Dataset,
+    _parse_bulk,
+    _parse_lines,
     circle_centers,
     gen_blobs,
     gen_ood,
@@ -264,6 +270,153 @@ def test_csv_rejects_empty_and_header_only(tmp_path):
     header_only.write_text("f0,f1,label\n")
     with pytest.raises(DataError, match="no data rows"):
         load_csv(header_only)
+
+
+# ---------------------------------------------------------------------------
+# CSV reader: numpy's bulk parse with the line reader behind it
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.0 / 3.0]
+
+
+def _write_rows(path, header, rows, newline="\n", final_newline=True):
+    text = newline.join([header] + rows) + (newline if final_newline else "")
+    path.write_bytes(text.encode())
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=4),
+    st.data(),
+)
+def test_csv_round_trip_property(tmp_path_factory, dim, n_classes, data):
+    n = data.draw(st.integers(min_value=1, max_value=12))
+    value = st.one_of(
+        st.sampled_from(_EDGE_FLOATS),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    feats = np.array(data.draw(st.lists(value, min_size=n * dim, max_size=n * dim)))
+    labels = np.array(
+        data.draw(st.lists(st.integers(OOD_LABEL, n_classes - 1), min_size=n, max_size=n))
+    )
+    ds = Dataset(features=feats.reshape(n, dim), labels=labels, n_classes=n_classes)
+    path = tmp_path_factory.mktemp("rt") / "rt.csv"
+    save_csv(ds, path)
+    back = load_csv(path)
+    assert back.features.tobytes() == ds.features.tobytes()  # signed zeros too
+    assert np.array_equal(back.labels, ds.labels)
+    assert back.n_classes == (int(labels.max()) + 1 if np.any(labels >= 0) else 0)
+    bulk = _parse_bulk(path)
+    assert bulk is not None  # save_csv's output never needs the line reader
+    lines = _parse_lines(path)
+    for got, want in zip(bulk, lines):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_csv_rejects_negative_label_instead_of_reading_ood(tmp_path):
+    path = tmp_path / "neg.csv"
+    _write_rows(path, "f0,f1,label", ["1.0,2.0,0", "1.0,2.0,ood", "1.0,2.0,-1"])
+    with pytest.raises(DataError, match=r":4: bad label '-1'"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_csv_rejects_non_finite_on_a_late_line(tmp_path, cell):
+    rows = [f"{i * 0.5},{-i * 0.25},{i % 3}" for i in range(5000)]
+    rows[4321] = f"1.0,{cell},1"
+    path = tmp_path / "late.csv"
+    _write_rows(path, "f0,f1,label", rows)
+    with pytest.raises(DataError, match=rf":4323: field f1 is not finite: '{cell}'"):
+        load_csv(path)
+
+
+def test_csv_rejects_ragged_row_after_ten_thousand_rows(tmp_path):
+    rows = [f"{i * 0.5},{-i * 0.25},ood" for i in range(10_050)]
+    rows[10_020] = "1.0,2.0,0,7"
+    path = tmp_path / "ragged.csv"
+    _write_rows(path, "f0,f1,label", rows)
+    with pytest.raises(DataError, match=r":10022: expected 3 fields, got 4"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"f0,f1,label\n1.0,2.0,0\n\n3.0,4.0,1\n",
+        b"f0,f1,label\r\n1.0,2.0,0\r\n\r\n",
+        b"f0,f1,label\n1.0,2.0,0\n\r",  # a lone CR ends an empty line
+    ],
+)
+def test_csv_rejects_blank_line_naming_it(tmp_path, raw):
+    # numpy's reader skips blank lines; the line reader names them
+    path = tmp_path / "blank.csv"
+    path.write_bytes(raw)
+    with pytest.raises(DataError, match=r":3: expected 3 fields, got 0"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("final_newline", [True, False])
+def test_csv_line_endings_and_missing_final_newline(tmp_path, newline, final_newline):
+    rows = ["1.0,-0.0,0", "2.5,3e-320,ood", "-4.0,1e308,2"]
+    path = tmp_path / "nl.csv"
+    _write_rows(path, "f0,f1,label", rows, newline=newline, final_newline=final_newline)
+    ds = load_csv(path)
+    assert ds.features.tobytes() == np.array([[1.0, -0.0], [2.5, 3e-320], [-4.0, 1e308]]).tobytes()
+    assert ds.labels.tolist() == [0, OOD_LABEL, 2]
+    assert ds.n_classes == 3
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "1_0,2.0,1",
+        " 1.0 ,2.0, 1",
+        "1.0,2.0,+1",
+        '"1.0",2.0,"1"',
+        "1.0,2.0,0001",
+        "1.0,2.0,00000000000000000001",  # wider than numpy's label field
+        "\t1.0,2.0,1",
+    ],
+)
+def test_csv_syntax_only_python_accepts_reads_like_the_line_reader(tmp_path, row):
+    path = tmp_path / "py.csv"
+    _write_rows(path, "f0,f1,label", ["0.5,0.25,0", row])
+    ds = load_csv(path)
+    feats, labels = _parse_lines(path)
+    assert ds.features.tobytes() == feats.tobytes()
+    assert np.array_equal(ds.labels, labels)
+    assert ds.labels[1] == 1
+
+
+@pytest.mark.parametrize("row", ["1\x1c,1", "1.5\x1f,1", "2.0,ood\x1e"])
+def test_csv_control_bytes_numpy_would_strip_are_rejected(tmp_path, row):
+    path = tmp_path / "ctl.csv"
+    _write_rows(path, "f0,label", ["0.5,0", row])
+    with pytest.raises(DataError, match=r":3: "):
+        load_csv(path)
+
+
+def test_csv_lone_carriage_return_ends_a_line(tmp_path):
+    # csv reads "1.0\r" as a row of its own; numpy rejects a CR inside a line
+    path = tmp_path / "cr.csv"
+    path.write_bytes(b"f0,label\n0.5,0\n1.0\r,1\n")
+    with pytest.raises(DataError, match=r":3: expected 2 fields, got 1"):
+        load_csv(path)
+
+
+def test_load_csv_memory_is_bounded(tmp_path):
+    ds = gen_blobs(n_per_class=40_000, seed=8)  # 200k rows
+    path = tmp_path / "big.csv"
+    save_csv(ds, path)
+    tracemalloc.start()
+    try:
+        back = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(back) == 200_000
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------

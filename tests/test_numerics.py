@@ -12,6 +12,8 @@ from numpy.testing import assert_allclose
 
 from evos.numerics import (
     _psi_trigamma,
+    _row_max,
+    _row_sum,
     digamma,
     entropy,
     log_beta,
@@ -251,6 +253,88 @@ def test_psi_trigamma_kernel_edges():
 @given(st.lists(st.floats(min_value=1.0, max_value=1e6), min_size=1, max_size=40))
 def test_psi_trigamma_kernel_matches_public(values):
     _assert_kernel_matches_public(np.array(values))
+
+
+# ---------------------------------------------------------------------------
+# class-axis reductions: column loops with numpy's bits
+
+_SPECIALS = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+     2.2250738585072014e-308, 1e308, -1e308, 1.0, -2.5]
+)
+_WIDTHS = list(range(1, 41)) + [127, 128, 129, 300]
+_LEADING = [(), (0,), (1,), (2,), (9,), (3, 4)]
+
+
+def _mixed_block(lead, k, seed):
+    """Normal values times 10^U(-300, 300), with a random share of the
+    entries replaced by +-0, +-inf, NaN, subnormals or +-1e308."""
+    rng = np.random.default_rng(seed)
+    shape = lead + (k,)
+    with np.errstate(over="ignore", under="ignore"):
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    special = rng.random(shape) < rng.choice([0.0, 0.2, 0.8, 1.0])
+    a[special] = rng.choice(_SPECIALS, size=shape)[special]
+    if rng.random() < 0.2:  # only signed zeros: the sign of a zero sum
+        a = rng.choice(np.array([0.0, -0.0]), size=shape)
+    return a
+
+
+def _same_bits(got, want):
+    """Equal bit for bit, except which NaN a NaN is: IEEE 754 does not fix
+    which operand's NaN an addition returns."""
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    return (
+        got.shape == want.shape
+        and np.array_equal(np.isnan(got), nan)
+        and got[~nan].tobytes() == want[~nan].tobytes()
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.sampled_from(_LEADING),
+    st.sampled_from(_WIDTHS),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_row_sum_and_max_match_numpy_bit_for_bit(lead, k, seed):
+    a = _mixed_block(lead, k, seed)
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert _same_bits(_row_sum(a), np.sum(a, axis=-1)), (lead, k)
+        # the same values; a zero maximum may carry either sign (numpy's
+        # SIMD reduction picks it by lane), which softmax cannot see
+        assert np.array_equal(_row_max(a), np.max(a, axis=-1), equal_nan=True), (lead, k)
+
+
+def test_row_sum_follows_numpy_pairwise_order():
+    # 1 + 2^-53 + ... rounds differently in each summation order, so only
+    # numpy's own order reproduces these bits
+    rng = np.random.default_rng(3)
+    for k in (7, 8, 9, 16, 17, 128, 129, 136, 300):
+        a = 1.0 + rng.integers(0, 4, size=(64, k)) * 2.0**-52 + rng.random((64, k)) * 1e-16
+        a[:, ::3] *= -1.0
+        assert _row_sum(a).tobytes() == np.sum(a, axis=-1).tobytes(), k
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.sampled_from(_LEADING),
+    st.sampled_from(_WIDTHS),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_softmax_and_entropy_bit_identical_to_numpy_reductions(lead, k, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(lead + (k,)) * rng.choice([1e-3, 1.0, 30.0, 700.0])
+    z[rng.random(z.shape) < 0.3] = rng.choice([0.0, -0.0])
+    if z.size == 0:
+        return
+    ex = np.exp(z - np.max(z, axis=-1, keepdims=True))
+    p = ex / np.sum(ex, axis=-1, keepdims=True)
+    assert softmax(z).tobytes() == p.tobytes()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0.0, p * np.log(p), 0.0)
+    assert np.asarray(entropy(p)).tobytes() == (-np.sum(terms, axis=-1)).tobytes()
 
 
 # ---------------------------------------------------------------------------
