@@ -304,9 +304,12 @@ def _load_rows(path) -> np.ndarray | None:
     or a row numpy cannot parse."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    # numpy skips blank lines (and rejects a CR inside a line itself)
+    # numpy skips blank lines, where the line reader sees an empty row; a CR
+    # outside a CRLF pair ends a row for the line reader, so numpy never
+    # tokenizes one
     blank = b"\n\n" in raw or b"\n\r" in raw
-    if raw.translate(None, _BULK_BYTES) or blank:
+    lone_cr = raw.count(b"\r") != raw.count(b"\r\n")
+    if raw.translate(None, _BULK_BYTES) or blank or lone_cr:
         return None
     end = raw.find(b"\n")
     if end in (-1, len(raw) - 1):  # no row after the header

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _row_sum, log_gamma, softplus
+from .numerics import log_gamma, softplus
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def opinion_from_alpha(d: DirichletParams) -> SubjectiveOpinion:
     """Project Dirichlet parameters onto the opinion simplex."""
     alpha = d.alpha
     k = alpha.shape[-1]
-    strength = _row_sum(alpha)[..., None]
+    strength = alpha.sum(axis=-1, keepdims=True)
     beliefs = (alpha - 1.0) / strength
     probs = alpha / strength
     uncertainty = k / np.squeeze(strength, axis=-1)

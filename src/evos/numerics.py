@@ -19,10 +19,11 @@ Reductions over the class axis (always the last one) go through
 ``_row_max`` and ``_row_sum``, which loop over the K columns.  For a few
 classes that is several times faster than ``np.max``/``np.sum(axis=-1)``,
 whose inner loop then runs only K steps per row.  ``_row_sum`` depends on
-numpy's reduction order: it repeats numpy's pairwise summation step for
-step, so its bits equal ``np.sum(a, axis=-1)``'s on a C-contiguous array.
-``tests/test_numerics.py`` pins this, so a numpy release that sums in
-another order fails there.
+numpy's reduction order: below 8 classes numpy sums a row sequentially
+from +0.0, which the column loop repeats, so its bits equal
+``np.sum(a, axis=-1)``'s on a C-contiguous array; from 8 classes on it
+calls ``np.sum``.  ``tests/test_numerics.py`` pins this, so a numpy release
+that sums in another order fails there.
 """
 
 from __future__ import annotations
@@ -184,37 +185,20 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pairwise_sum(a: np.ndarray, lo: int, n: int) -> np.ndarray:
-    # numpy's pairwise_sum over the columns lo .. lo+n-1, step for step:
-    # sequential below 8 terms, eight accumulators up to 128, else halves.
-    if n < 8:
-        out = np.zeros(a.shape[:-1])
-        for k in range(lo, lo + n):
-            out += a[..., k]
-        return out
-    if n <= 128:
-        r = [a[..., lo + j].copy() for j in range(8)]
-        end = lo + n - n % 8
-        for i in range(lo + 8, end, 8):
-            for j in range(8):
-                r[j] += a[..., i + j]
-        out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for k in range(end, lo + n):
-            out += a[..., k]
-        return out
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(a, lo, half) + _pairwise_sum(a, lo + half, n - half)
-
-
 def _row_sum(a: np.ndarray) -> np.ndarray:
-    """``np.sum(a, axis=-1)`` over the columns, bit for bit on a C-contiguous
-    ``a`` (which NaN comes out of a sum of NaNs aside)."""
+    """``np.sum(a, axis=-1)``, bit for bit on a C-contiguous ``a`` (which NaN
+    comes out of a sum of NaNs aside).
+
+    Below 8 terms numpy adds them one after another from +0.0, and so does
+    the column loop; from 8 terms on numpy sums pairwise, so ``np.sum`` runs.
+    """
     k = a.shape[-1]
-    s = _pairwise_sum(a, 0, k)
-    # numpy adds the pairwise sum to the identity +0.0, which turns a -0.0
-    # sum into +0.0; below 8 terms the sum already starts from +0.0.
-    return s if k < 8 else 0.0 + s
+    if k >= 8:
+        return np.sum(a, axis=-1)
+    out = np.zeros(a.shape[:-1])
+    for j in range(k):
+        out += a[..., j]
+    return out
 
 
 def softmax(logits):
