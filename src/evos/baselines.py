@@ -22,8 +22,8 @@ import numpy as np
 
 from . import mlp
 from .errors import DataError
-from .numerics import _row_sum, entropy, softmax
-from .training import Model, evidential_scores
+from .numerics import _row_sum, entropy
+from .training import Model, evidential_scores, softmax_head
 
 METHODS = ("uios", "entropy", "mc_drop", "ensemble", "tta")
 
@@ -33,7 +33,7 @@ DEFAULT_JITTER_SIGMA = 0.1
 
 
 def _probs(params: mlp.MlpParams, x: np.ndarray, masks=None) -> np.ndarray:
-    return mlp.infer(params, x, masks, head=softmax)
+    return mlp.infer(params, x, masks, head=softmax_head)
 
 
 def _normalized_entropy(probs: np.ndarray) -> np.ndarray:
@@ -60,7 +60,8 @@ def mc_dropout_score(
 
     Requires a model trained with dropout_rate > 0; with rate 0 the passes
     would be identical, so this degenerates to the entropy method (with a
-    warning).
+    warning).  Pass t draws its masks as ``mlp.make_dropout_masks`` would on
+    all rows after t earlier passes, but only one row block's at a time.
     """
     if passes < 1:
         raise ValueError("mc_dropout_score: passes >= 1 required")
@@ -70,13 +71,15 @@ def mc_dropout_score(
         )
         return entropy_score(model, x)
     x = np.asarray(x, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    acc = np.zeros((len(x), model.config.output_dim))
-    for _ in range(passes):
-        masks = mlp.make_dropout_masks(model.config, len(x), rng)
-        acc += _probs(model.params, x, masks)
-    mean = acc / passes
-    return mean, _normalized_entropy(mean)
+    n, cfg = len(x), model.config
+    mean, u = np.empty((n, cfg.output_dim)), np.empty(n)
+    for rows in mlp.row_blocks(n):
+        acc = np.zeros((rows.stop - rows.start, cfg.output_dim))
+        for masks in mlp.dropout_mask_rows(cfg, n, rows, seed, passes):
+            acc += _probs(model.params, x[rows], masks)
+        mean[rows] = acc / passes
+        u[rows] = _normalized_entropy(mean[rows])
+    return mean, u
 
 
 def ensemble_score(
@@ -107,20 +110,26 @@ def tta_score(
     Uncertainty is the across-pass variance of the class probabilities,
     averaged over classes and divided by 1/4 (the variance of a fair coin,
     the largest possible for a [0, 1] variable), so it lands in [0, 1].
+    All T jitters are drawn first, in pass order (a normal draw takes a
+    varying share of the stream, so a block's cannot be drawn alone); the
+    T passes' probabilities are then held for one row block at a time.
     """
     if passes < 2:
         raise ValueError("tta_score: need >= 2 passes to estimate a variance")
     if jitter_sigma < 0:
         raise ValueError("tta_score: jitter_sigma must be >= 0")
     x = np.asarray(x, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    stack = np.empty((passes, len(x), model.config.output_dim))
-    for t in range(passes):
-        jitter = jitter_sigma * rng.standard_normal(x.shape)
-        stack[t] = _probs(model.params, x + jitter)
-    mean = stack.mean(axis=0)
-    var = stack.var(axis=0, ddof=0)
-    u = 4.0 * (_row_sum(var) / var.shape[-1])
+    jitter = np.random.default_rng(seed).standard_normal((passes, *x.shape))
+    jitter *= jitter_sigma
+    n, k = len(x), model.config.output_dim
+    mean, u = np.empty((n, k)), np.empty(n)
+    for rows in mlp.row_blocks(n):
+        stack = np.empty((passes, rows.stop - rows.start, k))
+        for t in range(passes):
+            stack[t] = _probs(model.params, x[rows] + jitter[t, rows])
+        mean[rows] = stack.mean(axis=0)
+        var = stack.var(axis=0, ddof=0)
+        u[rows] = 4.0 * (_row_sum(var) / k)
     return mean, u
 
 

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -449,6 +450,14 @@ _ARTIFACT_FOR_METHOD = {
 }
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def cmd_compare(args) -> int:
     args = _resolve(args, COMPARE_DEFAULTS)
     methods = [m.strip() for m in str(args.methods).split(",") if m.strip()]
@@ -468,20 +477,20 @@ def cmd_compare(args) -> int:
     val_set = _load_labelled(args.val_csv, "val")
     test_set = _load_labelled(args.test_csv, "test")
     ood_sets = [load_csv(p, name=p) for p in (args.ood_csv or [])]
+    ckpts = {m: os.path.join(args.checkpoint_dir, _ARTIFACT_FOR_METHOD[m]) for m in methods}
+    # one load per distinct checkpoint: three methods share standard.json
+    models = {p: load_checkpoint(p)[0] for p in dict.fromkeys(ckpts.values())}
+    snapshots = _load_snapshots(ckpts["ensemble"]) if "ensemble" in methods else None
 
-    rows = {}
-    timing = {}
-    models = {}  # one load per distinct checkpoint: three methods share standard.json
-    for m in methods:
-        ckpt = os.path.join(args.checkpoint_dir, _ARTIFACT_FOR_METHOD[m])
-        if ckpt not in models:
-            models[ckpt], _, _, _ = load_checkpoint(ckpt)
-        model = models[ckpt]
-        snapshots = _load_snapshots(ckpt) if m == "ensemble" else None
-        val_recs = _method_records(m, model, snapshots, val_set, args)
+    def score(m):
+        """One method's row and seconds per test row; shares no state with
+        the other methods, so they may run at the same time."""
+        model = models[ckpts[m]]
+        snaps = snapshots if m == "ensemble" else None
+        val_recs = _method_records(m, model, snaps, val_set, args)
         cal = calibrate(val_recs, coefficient=args.coefficient)
         t0 = time.perf_counter()
-        test_recs = _method_records(m, model, snapshots, test_set, args)
+        test_recs = _method_records(m, model, snaps, test_set, args)
         elapsed = time.perf_counter() - t0
         rep = evaluate(test_recs)
         row = {
@@ -492,11 +501,22 @@ def cmd_compare(args) -> int:
         }
         if ood_sets:
             u_all = np.concatenate(
-                [_method_records(m, model, snapshots, o, args).uncertainty for o in ood_sets]
+                [_method_records(m, model, snaps, o, args).uncertainty for o in ood_sets]
             )
             row["ood_detection_rate"] = ood_detection_rate(u_all, cal.threshold)
-        rows[m] = row
-        timing[m] = elapsed / len(test_set)
+        return row, elapsed / len(test_set)
+
+    # The methods run concurrently: numpy releases the GIL in matmul, the
+    # ufunc loops and the RNG fills.  Results are taken in method order, so
+    # the first failing method's error is the one raised.
+    workers = min(_usable_cpus(), len(methods))
+    if workers <= 1:
+        results = list(map(score, methods))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(score, methods))
+    rows = {m: row for m, (row, _) in zip(methods, results)}
+    timing = {m: t for m, (_, t) in zip(methods, results)}
 
     header = f"{'method':10s} {'macro-F1':>9s} {'macro-AUC':>9s} {'OOD rate':>9s} {'theta':>8s} {'ms/sample':>10s}"
     print(header)

@@ -8,7 +8,8 @@ validates it against central differences.
 
 Dropout is the inverted kind (mask / (1 - rate)) and is only applied when
 the caller passes masks, so plain forward passes are deterministic.  The
-Monte Carlo dropout baseline supplies fresh masks per pass.
+Monte Carlo dropout baseline supplies fresh masks per pass, drawn one row
+block at a time by ``dropout_mask_rows``.
 
 Scoring (``infer``) runs in blocks of ``BLOCK_ROWS`` rows, so that a block's
 layers and the caller's row-wise head stay in L2 cache and the intermediates
@@ -113,11 +114,35 @@ def make_dropout_masks(
     """Pre-scaled inverted-dropout masks, one per hidden layer."""
     if cfg.dropout_rate <= 0.0:
         raise ValueError("make_dropout_masks: dropout_rate is 0")
-    keep = 1.0 - cfg.dropout_rate
-    return [
-        (rng.random((batch_size, h)) >= cfg.dropout_rate).astype(np.float64) / keep
-        for h in cfg.hidden_dims
-    ]
+    return [_scaled_mask(rng.random((batch_size, h)), cfg.dropout_rate) for h in cfg.hidden_dims]
+
+
+def _scaled_mask(uniforms: np.ndarray, rate: float) -> np.ndarray:
+    return (uniforms >= rate).astype(np.float64) / (1.0 - rate)
+
+
+def dropout_mask_rows(cfg: MlpConfig, n: int, rows: slice, seed: int, passes: int):
+    """Yield rows ``rows`` of ``passes`` successive ``make_dropout_masks(cfg,
+    n, rng)`` calls, one pass at a time and bit for bit, where ``rng`` is
+    ``np.random.default_rng(seed)``.
+
+    Only these rows are drawn.  ``Generator.random`` takes one 64-bit PCG64
+    output per float64, so advancing the seeded bit generator past the draws
+    that come before a block's rows yields that block's uniforms.
+    """
+    if cfg.dropout_rate <= 0.0:
+        raise ValueError("dropout_mask_rows: dropout_rate is 0")
+    start, stop, _ = rows.indices(n)
+    bits = np.random.PCG64(seed)
+    rng = np.random.Generator(bits)
+    here = skip = 0  # stream position, and where the current layer's draws start
+    for _ in range(passes):
+        masks = []
+        for h in cfg.hidden_dims:
+            bits.advance(skip + start * h - here)
+            masks.append(_scaled_mask(rng.random((stop - start, h)), cfg.dropout_rate))
+            here, skip = skip + stop * h, skip + n * h
+        yield masks
 
 
 def _checked_batch(params: MlpParams, batch, dropout_masks) -> np.ndarray:
@@ -154,6 +179,18 @@ def forward(
     return h, trace
 
 
+def row_blocks(n: int) -> list[slice]:
+    """The row blocks ``infer`` scores ``n`` rows in, in order, with one empty
+    block when ``n`` is 0.  A lone last row joins the block before it: numpy
+    multiplies a 1-row matrix by another (gemv) kernel, whose last bits
+    differ.  A scorer that loops over these blocks itself and calls
+    ``infer`` on each gets the bits of one ``infer`` call on all rows."""
+    starts = list(range(0, n, BLOCK_ROWS)) or [0]
+    if n > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], n])]
+
+
 def infer(
     params: MlpParams,
     batch: np.ndarray,
@@ -166,14 +203,8 @@ def infer(
     empty block, so a head that rejects empty input raises."""
     x = _checked_batch(params, batch, dropout_masks)
     n, n_hidden = len(x), len(params.weights) - 1
-    # A lone last row joins the block before it: numpy multiplies a 1-row
-    # matrix by another (gemv) kernel, whose last bits differ.
-    starts = list(range(0, n, BLOCK_ROWS)) or [0]
-    if n > 1 and n - starts[-1] == 1:
-        starts.pop()
     out = None
-    for start, stop in zip(starts, [*starts[1:], n]):
-        rows = slice(start, stop)
+    for rows in row_blocks(n):
         h = x[rows]
         for i, (w, b) in enumerate(zip(params.weights, params.biases)):
             h = h @ w

@@ -223,7 +223,7 @@ def entropy(p):
         raise ValueError("entropy: needs at least a 1-d vector")
     if np.any(a < 0.0):
         raise ValueError("entropy: invalid distribution (negative mass)")
-    if np.any(np.abs(_row_sum(a) - 1.0) > 1e-6):
+    if not np.all(np.abs(_row_sum(a) - 1.0) <= 1e-6):  # a NaN sum fails too
         raise ValueError("entropy: invalid distribution (does not sum to 1)")
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(a > 0.0, a * np.log(a), 0.0)

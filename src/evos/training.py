@@ -193,6 +193,22 @@ def train(
     return result
 
 
+def _check_logits(logits: np.ndarray) -> None:
+    if not np.all(np.isfinite(logits)):
+        raise NumericError("non-finite logits")
+
+
+def softmax_head(logits: np.ndarray) -> np.ndarray:
+    """Softmax of a block of a standard model's logits, for ``mlp.infer``.
+
+    Raises NumericError on a non-finite logit, as the evidential head does:
+    the softmax of an overflowed row is NaN, which would otherwise pass for
+    a certain prediction downstream.
+    """
+    _check_logits(logits)
+    return softmax(logits)
+
+
 def evidential_alpha(model: Model, features) -> np.ndarray:
     """Dirichlet concentrations alpha = g * softplus(logits) + 1 of an
     evidential model, one row per input, with g from ``model.gate`` (no
@@ -203,8 +219,7 @@ def evidential_alpha(model: Model, features) -> np.ndarray:
     """
 
     def alpha_of(logits):
-        if not np.all(np.isfinite(logits)):
-            raise NumericError("non-finite logits")
+        _check_logits(logits)
         alpha = softplus(logits)
         if model.gate is not None:
             alpha *= model.gate.factor(logits)[:, None]
@@ -230,7 +245,7 @@ def predict(model: Model, features: np.ndarray):
     if model.is_evidential:
         return opinion_from_alpha(DirichletParams(evidential_alpha(model, features)))
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    return mlp.infer(model.params, x, head=softmax)
+    return mlp.infer(model.params, x, head=softmax_head)
 
 
 def predict_records(model: Model, ds: Dataset) -> Predictions:

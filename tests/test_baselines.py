@@ -18,7 +18,7 @@ from evos.baselines import (
     uios_score,
 )
 from evos.data import Dataset, circle_centers, gen_blobs, split_622
-from evos.errors import DataError
+from evos.errors import DataError, NumericError
 from evos.head import EvidenceGate
 from evos.mlp import BLOCK_ROWS, MlpConfig
 from evos.numerics import softplus
@@ -378,14 +378,9 @@ def wide_rows():
     return np.random.default_rng(5).normal(0.0, 8.0, size=(2 * BLOCK_ROWS + 13, 2))
 
 
-def test_blocked_scorers_bit_identical_to_whole_array(
-    standard_result, dropout_model, evidential_model, wide_rows
-):
-    x = wide_rows
-    gated = evidential_model
-    assert np.any(gated.gate.factor(mlp.forward(gated.params, x)[0]) < 1.0)
+def _assert_scorers_match_whole(x, standard_result, dropout_model, evidential_model, seed):
     models = {
-        "uios": gated,
+        "uios": evidential_model,
         "entropy": standard_result.model,
         "mc_drop": dropout_model,
         "ensemble": standard_result.model,
@@ -393,11 +388,32 @@ def test_blocked_scorers_bit_identical_to_whole_array(
     }
     snaps = standard_result.snapshots
     for method in METHODS:
-        got = score_method(method, models[method], x, snapshots=snaps, seed=4)
-        want = _score_whole(method, models[method], x, snapshots=snaps, seed=4)
+        got = score_method(method, models[method], x, snapshots=snaps, seed=seed)
+        want = _score_whole(method, models[method], x, snapshots=snaps, seed=seed)
         for g, w in zip(got, want):
-            assert np.array_equal(g, w), method
+            assert g.tobytes() == w.tobytes(), method
+
+
+def test_blocked_scorers_bit_identical_to_whole_array(
+    standard_result, dropout_model, evidential_model, wide_rows
+):
+    x = wide_rows
+    gated = evidential_model
+    assert np.any(gated.gate.factor(mlp.forward(gated.params, x)[0]) < 1.0)
+    _assert_scorers_match_whole(x, standard_result, dropout_model, gated, seed=4)
     assert np.array_equal(evidential_alpha(gated, x), _score_whole("alpha", gated, x))
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, BLOCK_ROWS + 2, 30001]
+)
+def test_blocked_scorers_bit_identical_at_block_edges(
+    n, standard_result, dropout_model, evidential_model
+):
+    # B + 1 ends in a lone row that joins the block before it; mc_drop and
+    # tta must take each block's draws from the stream they drew for all rows
+    x = np.random.default_rng(n).normal(0.0, 8.0, size=(n, 2))
+    _assert_scorers_match_whole(x, standard_result, dropout_model, evidential_model, seed=7)
 
 
 def test_predict_records_bit_identical_to_whole_array(
@@ -440,3 +456,33 @@ def test_scoring_memory_is_bounded(scorer):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("method", ["mc_drop", "tta"])
+def test_multi_pass_scoring_memory_is_bounded(method):
+    # mc_drop draws one row block's masks per pass and tta holds one block's
+    # T passes; all T passes over all rows peaked at 209 and 178.5 MiB here
+    n, k = 200_000, 5
+    x = np.random.default_rng(6).normal(0.0, 4.0, size=(n, 2))
+    cfg = MlpConfig(input_dim=2, output_dim=k, dropout_rate=0.25, seed=6)
+    model = Model(config=cfg, params=mlp.init_params(cfg), objective="standard_ce")
+    tracemalloc.start()
+    try:
+        score_method(method, model, x, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("method", ["entropy", "mc_drop", "ensemble", "tta"])
+def test_softmax_scorers_raise_on_non_finite_logits(method, standard_result, dropout_model):
+    # softmax of a NaN row is NaN, which entropy used to score as certain
+    model = dropout_model if method == "mc_drop" else standard_result.model
+    broken = model.params.copy()
+    broken.weights[-1][0, 0] = np.nan
+    bad = Model(config=model.config, params=broken, objective=model.objective)
+    snaps = [broken, *standard_result.snapshots[1:]]
+    x = np.random.default_rng(2).normal(size=(50, 2))
+    with pytest.raises(NumericError, match="non-finite logits"):
+        score_method(method, bad, x, snapshots=snaps)

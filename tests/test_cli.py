@@ -2,13 +2,17 @@
 exit codes, artifact layout, config precedence, and report determinism."""
 
 import json
+import shutil
+import threading
 
 import numpy as np
 import pytest
 
-from evos.checkpoint import file_sha256, load_checkpoint
+from evos import baselines, cli
+from evos.checkpoint import file_sha256, load_checkpoint, save_checkpoint
 from evos.cli import main
 from evos.data import load_csv
+from evos.errors import DataError, NumericError
 
 
 def run(*argv):
@@ -495,30 +499,23 @@ def test_compare_lists_missing_artifacts(data_dir, tmp_path, capsys):
     assert "uios.json" in err and "standard.json" in err and "mcdrop.json" in err
 
 
-def test_compare_full_run(data_dir, tmp_path, capsys):
-    cmp_dir = tmp_path / "cmp"
-    train_csv = str(data_dir / "train.csv")
-    common = ["--train-csv", train_csv, "--epochs", "25", "--seed", "0"]
-    assert run("train", *common, "--out", str(cmp_dir / "uios.json"), "--objective", "tun") == 0
-    assert (
-        run("train", *common, "--out", str(cmp_dir / "standard.json"), "--objective", "standard_ce")
-        == 0
-    )
-    assert (
-        run(
-            "train",
-            *common,
-            "--out",
-            str(cmp_dir / "mcdrop.json"),
-            "--objective",
-            "standard_ce",
-            "--dropout-rate",
-            "0.25",
-        )
-        == 0
-    )
-    report = tmp_path / "compare.json"
-    rc = run(
+@pytest.fixture(scope="module")
+def cmp_dir(data_dir, tmp_path_factory):
+    """The three checkpoints `compare` reads: tun, standard_ce with its
+    snapshots, and standard_ce with dropout."""
+    d = tmp_path_factory.mktemp("cmp")
+    common = ["--train-csv", str(data_dir / "train.csv"), "--epochs", "25", "--seed", "0"]
+    for name, extra in (
+        ("uios", ["--objective", "tun"]),
+        ("standard", ["--objective", "standard_ce"]),
+        ("mcdrop", ["--objective", "standard_ce", "--dropout-rate", "0.25"]),
+    ):
+        assert run("train", *common, "--out", str(d / f"{name}.json"), *extra) == 0
+    return d
+
+
+def run_compare(cmp_dir, data_dir, *extra):
+    return run(
         "compare",
         "--checkpoint-dir",
         str(cmp_dir),
@@ -528,9 +525,13 @@ def test_compare_full_run(data_dir, tmp_path, capsys):
         str(data_dir / "test.csv"),
         "--ood-csv",
         str(data_dir / "ood_ring.csv"),
-        "--report",
-        str(report),
+        *extra,
     )
+
+
+def test_compare_full_run(cmp_dir, data_dir, tmp_path, capsys):
+    report = tmp_path / "compare.json"
+    rc = run_compare(cmp_dir, data_dir, "--report", str(report))
     assert rc == 0
     out = capsys.readouterr().out
     for method in ("uios", "entropy", "mc_drop", "ensemble", "tta"):
@@ -547,3 +548,89 @@ def test_compare_full_run(data_dir, tmp_path, capsys):
     assert timing.exists()
     timings = json.loads(timing.read_text())
     assert all(v > 0 for v in timings["ms_per_sample"].values())
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Worker counts of the thread pools `compare` opens."""
+    opened = []
+
+    class Recording(cli.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+    return opened
+
+
+def test_compare_output_does_not_depend_on_the_cpu_count(
+    cmp_dir, data_dir, tmp_path, capsys, monkeypatch, pools
+):
+    reports, tables = [], []
+    for cpus in (1, 5):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        report = tmp_path / f"compare{cpus}.json"
+        assert run_compare(cmp_dir, data_dir, "--report", str(report)) == 0
+        reports.append(report.read_bytes())
+        # every column but the last, wall-clock ms/sample
+        tables.append([line.rsplit(None, 1)[0] for line in capsys.readouterr().out.splitlines()])
+    assert pools == [5]  # one worker runs inline, with no thread
+    assert reports[0] == reports[1]
+    assert tables[0] == tables[1] and len(tables[0]) == 6
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+    assert run_compare(cmp_dir, data_dir, "--methods", "uios,tta") == 0
+    assert pools == [5, 2]  # no more workers than methods
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("cpus", [1, 5])
+def test_compare_raises_the_first_failing_method_in_method_order(
+    cpus, cmp_dir, data_dir, capsys, monkeypatch
+):
+    real = baselines.score_method
+
+    def failing(method, *args, **kwargs):
+        if method == "ensemble":
+            raise DataError("ensemble cannot be scored")
+        if method == "tta":
+            raise NumericError("tta overflowed")
+        return real(method, *args, **kwargs)
+
+    monkeypatch.setattr(baselines, "score_method", failing)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    assert run_compare(cmp_dir, data_dir) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: ensemble cannot be scored\n"
+    assert captured.out == ""
+
+
+def test_compare_leaves_no_thread_running(cmp_dir, data_dir, capsys, monkeypatch, pools):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 5)
+    before = threading.active_count()
+    assert run_compare(cmp_dir, data_dir) == 0
+    assert pools == [5]
+    assert threading.active_count() == before
+    capsys.readouterr()
+
+
+def test_non_finite_standard_logits_are_a_numeric_failure(cmp_dir, data_dir, tmp_path, capsys):
+    # a NaN softmax row used to get entropy -0.0: scored as a certain prediction
+    broken = tmp_path / "cmp"
+    shutil.copytree(cmp_dir, broken)
+    model, tc, fingerprint, _ = load_checkpoint(broken / "standard.json")
+    model.params.weights[0][0, 0] = np.nan
+    save_checkpoint(broken / "standard.json", model, tc, fingerprint)
+    rc = run(
+        "eval",
+        "--checkpoint",
+        str(broken / "standard.json"),
+        "--test-csv",
+        str(data_dir / "test.csv"),
+        "--method",
+        "entropy",
+    )
+    assert rc == 4
+    assert capsys.readouterr().err == "numeric failure: non-finite logits\n"
+    assert run_compare(broken, data_dir) == 4
+    assert capsys.readouterr().err == "numeric failure: non-finite logits\n"

@@ -15,11 +15,13 @@ from evos.mlp import (
     MlpParams,
     backward,
     check_finite,
+    dropout_mask_rows,
     finite_diff_check,
     forward,
     infer,
     init_params,
     make_dropout_masks,
+    row_blocks,
 )
 from evos.errors import NumericError
 
@@ -135,6 +137,16 @@ def test_infer_bit_identical_to_forward_at_block_edges(n, with_masks):
     assert np.array_equal(got, out)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, B - 1, B, B + 1, B + 2, 2 * B + 1, 3 * B + 7])
+def test_row_blocks_cover_the_rows_in_order_without_a_lone_row(n):
+    blocks = row_blocks(n)
+    assert blocks[0].start == 0 and blocks[-1].stop == n
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    sizes = [b.stop - b.start for b in blocks]
+    assert all(1 < m <= B + 1 for m in sizes[:-1])
+    assert sizes[-1] <= B + 1 and (sizes[-1] > 1 or n <= 1)
+
+
 def test_infer_head_sees_each_block_once():
     p = init_params(MlpConfig(input_dim=2, output_dim=5, seed=1))
     x = np.random.default_rng(2).normal(size=(2 * B + 1, 2))
@@ -246,6 +258,24 @@ def test_dropout_masks_prescaled():
 def test_dropout_requires_positive_rate():
     with pytest.raises(ValueError):
         make_dropout_masks(small_config(), 4, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        next(dropout_mask_rows(small_config(), 4, slice(0, 4), seed=0, passes=1))
+
+
+@pytest.mark.parametrize("n", [1, 2, B, B + 1, 2 * B + 13])
+def test_dropout_mask_rows_are_the_whole_batch_masks(n):
+    # each block's masks, drawn alone from an advanced copy of the seeded
+    # stream, equal those rows of three successive whole-batch draws
+    cfg = MlpConfig(input_dim=2, output_dim=5, hidden_dims=(32, 7), dropout_rate=0.25)
+    rng = np.random.default_rng(17)
+    whole = [make_dropout_masks(cfg, n, rng) for _ in range(3)]
+    for rows in row_blocks(n):
+        got = list(dropout_mask_rows(cfg, n, rows, seed=17, passes=3))
+        assert len(got) == len(whole)
+        for got_pass, whole_pass in zip(got, whole):
+            assert len(got_pass) == len(whole_pass)
+            for g, w in zip(got_pass, whole_pass):
+                assert g.tobytes() == w[rows].tobytes()
 
 
 def test_forward_ignores_dropout_without_masks():
