@@ -110,23 +110,34 @@ def tta_score(
     Uncertainty is the across-pass variance of the class probabilities,
     averaged over classes and divided by 1/4 (the variance of a fair coin,
     the largest possible for a [0, 1] variable), so it lands in [0, 1].
-    All T jitters are drawn first, in pass order (a normal draw takes a
-    varying share of the stream, so a block's cannot be drawn alone); the
-    T passes' probabilities are then held for one row block at a time.
+    The jitter is ``standard_normal((passes, *x.shape))`` from the seeded
+    generator, but only one row block's T passes are held at a time: a
+    normal takes a varying share of the stream, so a block's draws cannot
+    be skipped to, and one sweep through the stream in pass order records
+    the generator state each pass's block starts at instead.
     """
     if passes < 2:
         raise ValueError("tta_score: need >= 2 passes to estimate a variance")
     if jitter_sigma < 0:
         raise ValueError("tta_score: jitter_sigma must be >= 0")
     x = np.asarray(x, dtype=np.float64)
-    jitter = np.random.default_rng(seed).standard_normal((passes, *x.shape))
-    jitter *= jitter_sigma
     n, k = len(x), model.config.output_dim
+    blocks = mlp.row_blocks(n)
+    rng = np.random.default_rng(seed)
+    starts = []  # starts[t][j]: the state pass t's draws for block j start at
+    for _ in range(passes):
+        starts.append([])
+        for rows in blocks:
+            starts[-1].append(rng.bit_generator.state)
+            rng.standard_normal((rows.stop - rows.start, *x.shape[1:]))
     mean, u = np.empty((n, k)), np.empty(n)
-    for rows in mlp.row_blocks(n):
+    for j, rows in enumerate(blocks):
         stack = np.empty((passes, rows.stop - rows.start, k))
         for t in range(passes):
-            stack[t] = _probs(model.params, x[rows] + jitter[t, rows])
+            rng.bit_generator.state = starts[t][j]
+            jitter = rng.standard_normal((rows.stop - rows.start, *x.shape[1:]))
+            jitter *= jitter_sigma
+            stack[t] = _probs(model.params, x[rows] + jitter)
         mean[rows] = stack.mean(axis=0)
         var = stack.var(axis=0, ddof=0)
         u[rows] = 4.0 * (_row_sum(var) / k)

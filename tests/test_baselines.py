@@ -458,13 +458,17 @@ def test_scoring_memory_is_bounded(scorer):
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-@pytest.mark.parametrize("method", ["mc_drop", "tta"])
-def test_multi_pass_scoring_memory_is_bounded(method):
-    # mc_drop draws one row block's masks per pass and tta holds one block's
-    # T passes; all T passes over all rows peaked at 209 and 178.5 MiB here
-    n, k = 200_000, 5
-    x = np.random.default_rng(6).normal(0.0, 4.0, size=(n, 2))
-    cfg = MlpConfig(input_dim=2, output_dim=k, dropout_rate=0.25, seed=6)
+@pytest.mark.parametrize(
+    "method, n, dim", [("mc_drop", 200_000, 2), ("tta", 200_000, 2), ("tta", 50_000, 64)]
+)
+def test_multi_pass_scoring_memory_is_bounded(method, n, dim):
+    # mc_drop draws one row block's masks per pass and tta one block's jitter
+    # and T passes; all T passes over all rows peaked at 209 and 178.5 MiB on
+    # 200k 2-wide rows, and all of tta's jitter at once is 250 MiB on 50k
+    # 64-wide rows
+    k = 5
+    x = np.random.default_rng(6).normal(0.0, 4.0, size=(n, dim))
+    cfg = MlpConfig(input_dim=dim, output_dim=k, dropout_rate=0.25, seed=6)
     model = Model(config=cfg, params=mlp.init_params(cfg), objective="standard_ce")
     tracemalloc.start()
     try:
