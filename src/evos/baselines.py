@@ -28,7 +28,6 @@ from .training import Model, evidential_scores, softmax_head
 METHODS = ("uios", "entropy", "mc_drop", "ensemble", "tta")
 
 DEFAULT_PASSES = 10
-DEFAULT_SNAPSHOTS = 5
 DEFAULT_JITTER_SIGMA = 0.1
 
 

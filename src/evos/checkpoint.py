@@ -194,7 +194,6 @@ def load_checkpoint(path) -> tuple[Model, TrainConfig, str, ThresholdCalibration
         config=cfg,
         params=params,
         objective=obj["objective"],
-        threshold=calib.threshold if calib is not None else None,
         gate=_decode_gate(obj["gate"], cfg.output_dim, path),
     )
     tc = TrainConfig(**obj["train_config"])

@@ -4,11 +4,11 @@ Subcommands: gen-data, train, calibrate, eval, ood-eval, compare.
 
 Every command takes --seed (default 0, fixed; never wall-clock) and
 --config FILE with key=value lines providing defaults that explicit flags
-override.  Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric
-failure.  All outputs are deterministic given (flags, seed, input files);
-the one inherently non-reproducible quantity, the scoring time in
-``compare``, goes to stdout and a ``.timing.json`` sidecar, never into
-report files.
+override.  Exit codes: 0 success, 2 usage error, 3 data or config error
+(an option value the library rejects included), 4 numeric failure.  All
+outputs are deterministic given (flags, seed, input files); the one
+inherently non-reproducible quantity, the scoring time in ``compare``, goes
+to stdout and a ``.timing.json`` sidecar, never into report files.
 """
 
 from __future__ import annotations
@@ -76,21 +76,6 @@ def _coerce(raw: str, like):
     return raw
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
-    """Fill None-valued options from --config, then from hard defaults."""
-    file_vals = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    unknown = set(file_vals) - set(defaults)
-    if unknown:
-        raise DataError(f"config: unknown keys {sorted(unknown)}")
-    for key, dflt in defaults.items():
-        if getattr(args, key, None) is None:
-            if key in file_vals:
-                setattr(args, key, _coerce(file_vals[key], dflt))
-            else:
-                setattr(args, key, dflt)
-    return args
-
-
 def _parse_hidden(text: str) -> tuple[int, ...]:
     try:
         dims = tuple(int(tok) for tok in str(text).split(",") if tok.strip())
@@ -145,21 +130,8 @@ def _auto_method(model: Model) -> str:
 # ---------------------------------------------------------------------------
 # gen-data
 
-GEN_DEFAULTS = dict(
-    classes=5,
-    dim=2,
-    n_per_class=500,
-    sigma=0.9,
-    radius=4.0,
-    ood_kinds="far_cluster,ring",
-    ood_n=500,
-    unseen_sigma=0.0,  # 0 disables the harder same-centers test set
-    seed=DEFAULT_SEED,
-)
-
 
 def cmd_gen_data(args) -> int:
-    args = _resolve(args, GEN_DEFAULTS)
     ds = gen_blobs(
         n_per_class=args.n_per_class,
         n_classes=args.classes,
@@ -224,22 +196,8 @@ def cmd_gen_data(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-TRAIN_DEFAULTS = dict(
-    objective="tun",
-    epochs=400,
-    learning_rate=1e-4,
-    weight_decay=1e-4,
-    batch_size=64,
-    anneal_epochs=10,
-    hidden="32,32",
-    dropout_rate=0.0,
-    snapshot_count=5,
-    seed=DEFAULT_SEED,
-)
-
 
 def cmd_train(args) -> int:
-    args = _resolve(args, TRAIN_DEFAULTS)
     train_set = load_csv(args.train_csv, name="train")
     if train_set.n_classes < 2:
         raise DataError(f"train: {args.train_csv} needs labelled rows of >= 2 classes")
@@ -286,17 +244,8 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 # calibrate
 
-CAL_DEFAULTS = dict(
-    method="auto",
-    coefficient=2.0,
-    passes=baselines.DEFAULT_PASSES,
-    jitter_sigma=baselines.DEFAULT_JITTER_SIGMA,
-    seed=DEFAULT_SEED,
-)
-
 
 def cmd_calibrate(args) -> int:
-    args = _resolve(args, CAL_DEFAULTS)
     model, tc, fingerprint, _ = load_checkpoint(args.checkpoint)
     val_set = _load_labelled(args.val_csv, "val")
     method = _auto_method(model) if args.method == "auto" else args.method
@@ -309,7 +258,6 @@ def cmd_calibrate(args) -> int:
             "be fit. Use a harder validation set (e.g. larger sigma) or fewer epochs."
         )
     cal = calibrate(recs, coefficient=args.coefficient)
-    model.threshold = cal.threshold
     save_checkpoint(args.checkpoint, model, tc, fingerprint, calibration=cal)
     print(
         f"method {method}: threshold {cal.threshold:.6f} "
@@ -322,17 +270,8 @@ def cmd_calibrate(args) -> int:
 # ---------------------------------------------------------------------------
 # eval
 
-EVAL_DEFAULTS = dict(
-    method="auto",
-    thresholded=False,
-    passes=baselines.DEFAULT_PASSES,
-    jitter_sigma=baselines.DEFAULT_JITTER_SIGMA,
-    seed=DEFAULT_SEED,
-)
-
 
 def cmd_eval(args) -> int:
-    args = _resolve(args, EVAL_DEFAULTS)
     model, _, _, cal = load_checkpoint(args.checkpoint)
     test_set = _load_labelled(args.test_csv, "test")
     method = _auto_method(model) if args.method == "auto" else args.method
@@ -378,14 +317,6 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 # ood-eval
 
-OOD_DEFAULTS = dict(
-    method="auto",
-    bins=10,
-    passes=baselines.DEFAULT_PASSES,
-    jitter_sigma=baselines.DEFAULT_JITTER_SIGMA,
-    seed=DEFAULT_SEED,
-)
-
 
 def _histogram_text(counts: np.ndarray) -> list[str]:
     top = max(int(counts.max()), 1)
@@ -397,7 +328,6 @@ def _histogram_text(counts: np.ndarray) -> list[str]:
 
 
 def cmd_ood_eval(args) -> int:
-    args = _resolve(args, OOD_DEFAULTS)
     model, _, _, cal = load_checkpoint(args.checkpoint)
     if cal is None:
         raise DataError(
@@ -432,14 +362,6 @@ def cmd_ood_eval(args) -> int:
 # ---------------------------------------------------------------------------
 # compare
 
-COMPARE_DEFAULTS = dict(
-    methods="uios,entropy,mc_drop,ensemble,tta",
-    coefficient=2.0,
-    passes=baselines.DEFAULT_PASSES,
-    jitter_sigma=baselines.DEFAULT_JITTER_SIGMA,
-    seed=DEFAULT_SEED,
-)
-
 # artifact naming convention inside --checkpoint-dir
 _ARTIFACT_FOR_METHOD = {
     "uios": "uios.json",
@@ -459,7 +381,6 @@ def _usable_cpus() -> int:
 
 
 def cmd_compare(args) -> int:
-    args = _resolve(args, COMPARE_DEFAULTS)
     methods = [m.strip() for m in str(args.methods).split(",") if m.strip()]
     bad = [m for m in methods if m not in baselines.METHODS]
     if bad:
@@ -561,99 +482,113 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-        sp.add_argument("--config", default=None, help="key=value defaults file")
+    def command(name, func, help):
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                        help="RNG seed (default %(default)s)")
+        sp.add_argument("--config", help="key=value defaults file")
+        sp.set_defaults(func=func)
+        return sp
 
-    g = sub.add_parser("gen-data", help="generate benchmark CSVs + manifest")
+    def scoring(sp, method=True):
+        if method:
+            sp.add_argument("--method", choices=["auto", *baselines.METHODS], default="auto")
+        sp.add_argument("--passes", type=int, default=baselines.DEFAULT_PASSES)
+        sp.add_argument("--jitter-sigma", type=float, default=baselines.DEFAULT_JITTER_SIGMA)
+
+    g = command("gen-data", cmd_gen_data, "generate benchmark CSVs + manifest")
     g.add_argument("--out-dir", required=True)
-    g.add_argument("--k", "--classes", dest="classes", type=int, default=None)
-    g.add_argument("--dim", type=int, default=None)
-    g.add_argument("--n-per-class", type=int, default=None)
-    g.add_argument("--sigma", type=float, default=None)
-    g.add_argument("--radius", type=float, default=None)
-    g.add_argument("--ood-kinds", default=None, help="comma list: ring,far_cluster,uniform_box")
-    g.add_argument("--ood-n", type=int, default=None)
-    g.add_argument("--unseen-sigma", type=float, default=None,
+    g.add_argument("--k", "--classes", dest="classes", type=int, default=5)
+    g.add_argument("--dim", type=int, default=2)
+    g.add_argument("--n-per-class", type=int, default=500)
+    g.add_argument("--sigma", type=float, default=0.9)
+    g.add_argument("--radius", type=float, default=4.0)
+    g.add_argument("--ood-kinds", default="far_cluster,ring",
+                   help="comma list: ring,far_cluster,uniform_box")
+    g.add_argument("--ood-n", type=int, default=500)
+    g.add_argument("--unseen-sigma", type=float, default=0.0,
                    help="also write a harder same-centers set with this sigma (0 = off)")
-    common(g)
-    g.set_defaults(func=cmd_gen_data)
 
-    t = sub.add_parser("train", help="train a model and write a checkpoint")
+    t = command("train", cmd_train, "train a model and write a checkpoint")
     t.add_argument("--train-csv", required=True)
-    t.add_argument("--val-csv", default=None)
+    t.add_argument("--val-csv")
     t.add_argument("--out", required=True, help="checkpoint path (.json)")
-    t.add_argument("--objective", choices=["standard_ce", "un", "tun"], default=None)
-    t.add_argument("--epochs", type=int, default=None)
-    t.add_argument("--learning-rate", type=float, default=None)
-    t.add_argument("--weight-decay", type=float, default=None)
-    t.add_argument("--batch-size", type=int, default=None)
-    t.add_argument("--anneal-epochs", type=int, default=None)
-    t.add_argument("--hidden", default=None, help="comma list of hidden sizes (default 32,32)")
-    t.add_argument("--dropout-rate", type=float, default=None)
-    t.add_argument("--snapshot-count", type=int, default=None)
-    common(t)
-    t.set_defaults(func=cmd_train)
+    t.add_argument("--objective", choices=["standard_ce", "un", "tun"], default="tun")
+    t.add_argument("--epochs", type=int, default=400)
+    t.add_argument("--learning-rate", type=float, default=1e-4)
+    t.add_argument("--weight-decay", type=float, default=1e-4)
+    t.add_argument("--batch-size", type=int, default=64)
+    t.add_argument("--anneal-epochs", type=int, default=10)
+    t.add_argument("--hidden", default="32,32",
+                   help="comma list of hidden sizes (default %(default)s)")
+    t.add_argument("--dropout-rate", type=float, default=0.0)
+    t.add_argument("--snapshot-count", type=int, default=5)
 
-    c = sub.add_parser("calibrate", help="fit the uncertainty threshold on validation data")
+    c = command("calibrate", cmd_calibrate, "fit the uncertainty threshold on validation data")
     c.add_argument("--checkpoint", required=True)
     c.add_argument("--val-csv", required=True)
-    c.add_argument("--method", choices=["auto", *baselines.METHODS], default=None)
-    c.add_argument("--coefficient", type=float, default=None,
-                   help="TPR weight in the selection objective (default 2)")
-    c.add_argument("--passes", type=int, default=None)
-    c.add_argument("--jitter-sigma", type=float, default=None)
-    common(c)
-    c.set_defaults(func=cmd_calibrate)
+    c.add_argument("--coefficient", type=float, default=2.0,
+                   help="TPR weight in the selection objective (default %(default)s)")
+    scoring(c)
 
-    e = sub.add_parser("eval", help="evaluate on a test CSV")
+    e = command("eval", cmd_eval, "evaluate on a test CSV")
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--test-csv", required=True)
-    e.add_argument("--report", default=None, help="write a report JSON here")
-    e.add_argument("--thresholded", action="store_true", default=None,
+    e.add_argument("--report", help="write a report JSON here")
+    e.add_argument("--thresholded", action="store_true",
                    help="also report metrics with low-confidence samples referred")
-    e.add_argument("--method", choices=["auto", *baselines.METHODS], default=None)
-    e.add_argument("--passes", type=int, default=None)
-    e.add_argument("--jitter-sigma", type=float, default=None)
-    common(e)
-    e.set_defaults(func=cmd_eval)
+    scoring(e)
 
-    o = sub.add_parser("ood-eval", help="detection rates on OOD CSVs")
+    o = command("ood-eval", cmd_ood_eval, "detection rates on OOD CSVs")
     o.add_argument("--checkpoint", required=True)
     o.add_argument("--ood-csv", nargs="+", required=True)
-    o.add_argument("--report", default=None)
-    o.add_argument("--method", choices=["auto", *baselines.METHODS], default=None)
-    o.add_argument("--bins", type=int, default=None)
-    o.add_argument("--passes", type=int, default=None)
-    o.add_argument("--jitter-sigma", type=float, default=None)
-    common(o)
-    o.set_defaults(func=cmd_ood_eval)
+    o.add_argument("--report")
+    o.add_argument("--bins", type=int, default=10)
+    scoring(o)
 
-    m = sub.add_parser("compare", help="compare uncertainty methods side by side")
+    m = command("compare", cmd_compare, "compare uncertainty methods side by side")
     m.add_argument("--checkpoint-dir", required=True,
                    help="dir with uios.json / standard.json / mcdrop.json artifacts")
     m.add_argument("--val-csv", required=True)
     m.add_argument("--test-csv", required=True)
-    m.add_argument("--ood-csv", nargs="*", default=None)
-    m.add_argument("--methods", default=None, help="comma list (default: all five)")
-    m.add_argument("--report", default=None)
-    m.add_argument("--coefficient", type=float, default=None)
-    m.add_argument("--passes", type=int, default=None)
-    m.add_argument("--jitter-sigma", type=float, default=None)
-    common(m)
-    m.set_defaults(func=cmd_compare)
+    m.add_argument("--ood-csv", nargs="*")
+    m.add_argument("--methods", default="uios,entropy,mc_drop,ensemble,tta",
+                   help="comma list (default: all five)")
+    m.add_argument("--report")
+    m.add_argument("--coefficient", type=float, default=2.0)
+    scoring(m, method=False)
     return p
+
+
+def _with_config(parser: argparse.ArgumentParser, args, argv) -> argparse.Namespace:
+    """Make the --config file's values the subcommand's defaults and parse
+    again, so explicit flags still beat the file.  A file may set exactly the
+    options of its subcommand that have a built-in default; ``func`` is not
+    an option, so no file can replace it."""
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sp = commands.choices[args.command]
+    defaults = {
+        a.dest: a.default for a in sp._actions if a.default not in (None, argparse.SUPPRESS)
+    }
+    file_vals = _load_config_file(args.config)
+    unknown = set(file_vals) - set(defaults)
+    if unknown:
+        raise DataError(f"config: unknown keys {sorted(unknown)}")
+    sp.set_defaults(**{k: _coerce(v, defaults[k]) for k, v in file_vals.items()})
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config is not None:
+            args = _with_config(parser, args, argv)
+        return args.func(args)
     except SystemExit as e:  # argparse uses 2 for usage errors, 0 for --help
         return int(e.code or 0)
-    try:
-        return args.func(args)
-    except DataError as e:
+    # ValueError: an option value the library rejects, e.g. --epochs -1
+    except (DataError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except NumericError as e:

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: usage errors exit 2 (argparse),
-DataError and its subclasses exit 3, NumericError exit 4.
+DataError and its subclasses exit 3, as does a ValueError raised for an
+option value the library rejects; NumericError exits 4.
 """
 
 

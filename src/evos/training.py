@@ -98,7 +98,6 @@ class Model:
     config: mlp.MlpConfig
     params: mlp.MlpParams
     objective: str
-    threshold: float | None = None  # set by calibration, travels with the model
     gate: EvidenceGate | None = None  # None: the plain softplus evidence head
 
     @property

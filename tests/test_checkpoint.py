@@ -91,7 +91,7 @@ def test_checkpoint_round_trip(tmp_path, trained):
     assert model.objective == "tun"
     assert tc_back == tc
     assert fp == "abc123"
-    assert calib is None and model.threshold is None
+    assert calib is None
     gate, fitted = model.gate, result.model.gate
     assert fitted is not None
     assert gate.means.tobytes() == fitted.means.tobytes()
@@ -104,8 +104,7 @@ def test_checkpoint_round_trip_with_calibration(tmp_path, trained):
     calib = make_calibration()
     path = tmp_path / "model.json"
     save_checkpoint(path, result.model, tc, "fp", calibration=calib)
-    model, _, _, calib_back = load_checkpoint(path)
-    assert model.threshold == calib.threshold
+    _, _, _, calib_back = load_checkpoint(path)
     assert calib_back.threshold == calib.threshold
     assert calib_back.coefficient == calib.coefficient
     assert_allclose(calib_back.candidates, calib.candidates)

@@ -88,9 +88,45 @@ def test_unknown_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
-def test_help_exits_zero(capsys):
-    assert run("--help") == 0
-    assert "gen-data" in capsys.readouterr().out
+COMMANDS = ("gen-data", "train", "calibrate", "eval", "ood-eval", "compare")
+
+
+@pytest.mark.parametrize("command", ["", *COMMANDS], ids=["evos", *COMMANDS])
+def test_help_exits_zero(command, capsys):
+    assert run(*command.split(), "--help") == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: evos {command}".rstrip())
+    if not command:
+        assert all(c in out for c in COMMANDS)
+
+
+# Option values the library rejects exit 3 like any other data/config error.
+TRAIN = ("train", "--train-csv", "{data}/train.csv", "--out", "{tmp}/m.json")
+CALIBRATE = ("calibrate", "--checkpoint", "{model}", "--val-csv", "{data}/val.csv")
+BAD_VALUES = {
+    "epochs": (*TRAIN, "--epochs", "-1"),
+    "batch_size": (*TRAIN, "--batch-size", "0"),
+    "dropout_rate": (*TRAIN, "--dropout-rate", "1.5"),
+    "passes": (*CALIBRATE, "--method", "mc_drop", "--passes", "0"),
+    "jitter_sigma": (*CALIBRATE, "--method", "tta", "--jitter-sigma", "-1"),
+    "bins": ("ood-eval", "--checkpoint", "{model}", "--ood-csv", "{data}/ood_ring.csv",
+             "--bins", "0"),
+    "config_int": (*TRAIN, "--config", "{tmp}/bad.cfg"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_option_value_is_data_error(case, calibrated_path, data_dir, tmp_path, capsys):
+    (tmp_path / "bad.cfg").write_text("epochs=abc\n")
+    before = file_sha256(calibrated_path)
+    where = dict(data=data_dir, model=calibrated_path, tmp=tmp_path)
+    rc = run(*(a.format(**where) for a in BAD_VALUES[case]))
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert file_sha256(calibrated_path) == before
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_missing_file_is_data_error(tmp_path, capsys):
@@ -356,14 +392,95 @@ def test_unknown_config_key_is_data_error(data_dir, tmp_path, capsys):
     assert "warp_speed" in capsys.readouterr().err
 
 
+# The options each command resolves when neither flag nor config file sets
+# them, and the config file keys it accepts: one key per option that has a
+# built-in default.
+OPTION_TABLE = {
+    "gen-data": dict(classes=5, dim=2, n_per_class=500, sigma=0.9, radius=4.0,
+                     ood_kinds="far_cluster,ring", ood_n=500, unseen_sigma=0.0, seed=0),
+    "train": dict(objective="tun", epochs=400, learning_rate=1e-4, weight_decay=1e-4,
+                  batch_size=64, anneal_epochs=10, hidden="32,32", dropout_rate=0.0,
+                  snapshot_count=5, seed=0),
+    "calibrate": dict(method="auto", coefficient=2.0, passes=10, jitter_sigma=0.1, seed=0),
+    "eval": dict(method="auto", thresholded=False, passes=10, jitter_sigma=0.1, seed=0),
+    "ood-eval": dict(method="auto", bins=10, passes=10, jitter_sigma=0.1, seed=0),
+    "compare": dict(methods="uios,entropy,mc_drop,ensemble,tta", coefficient=2.0, passes=10,
+                    jitter_sigma=0.1, seed=0),
+}
+
+# A value other than the default for every key of OPTION_TABLE.
+CONFIGURED = {
+    "gen-data": dict(classes=3, dim=3, n_per_class=40, sigma=1.1, radius=2.5, ood_kinds="ring",
+                     ood_n=7, unseen_sigma=1.5, seed=9),
+    "train": dict(objective="un", epochs=3, learning_rate=0.01, weight_decay=0.0,
+                  batch_size=16, anneal_epochs=2, hidden="8", dropout_rate=0.5,
+                  snapshot_count=0, seed=9),
+    "calibrate": dict(method="tta", coefficient=1.5, passes=3, jitter_sigma=0.2, seed=9),
+    "eval": dict(method="mc_drop", thresholded=True, passes=3, jitter_sigma=0.2, seed=9),
+    "ood-eval": dict(method="entropy", bins=4, passes=3, jitter_sigma=0.2, seed=9),
+    "compare": dict(methods="uios,tta", coefficient=3.0, passes=3, jitter_sigma=0.2, seed=9),
+}
+
+MINIMAL_ARGV = {
+    "gen-data": ["--out-dir", "d"],
+    "train": ["--train-csv", "t.csv", "--out", "m.json"],
+    "calibrate": ["--checkpoint", "m.json", "--val-csv", "v.csv"],
+    "eval": ["--checkpoint", "m.json", "--test-csv", "t.csv"],
+    "ood-eval": ["--checkpoint", "m.json", "--ood-csv", "o.csv"],
+    "compare": ["--checkpoint-dir", "c", "--val-csv", "v.csv", "--test-csv", "t.csv"],
+}
+
+
+def resolved(monkeypatch, command, *extra):
+    """Exit code and the options `command` is called with, without running it."""
+    seen = {}
+    func = "cmd_" + command.replace("-", "_")
+    monkeypatch.setattr(cli, func, lambda args: seen.update(vars(args)) or 0)
+    rc = run(command, *MINIMAL_ARGV[command], *extra)
+    return rc, seen
+
+
+def typed(options):
+    return {k: (type(v), v) for k, v in options.items()}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_option_defaults_are_pinned(command, monkeypatch):
+    rc, seen = resolved(monkeypatch, command)
+    assert rc == 0
+    assert typed({k: seen[k] for k in OPTION_TABLE[command]}) == typed(OPTION_TABLE[command])
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_config_file_sets_every_option(command, monkeypatch, tmp_path):
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in CONFIGURED[command].items()))
+    rc, seen = resolved(monkeypatch, command, "--config", str(cfg))
+    assert rc == 0
+    assert typed({k: seen[k] for k in CONFIGURED[command]}) == typed(CONFIGURED[command])
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_config_file_rejects_every_other_key(command, monkeypatch, tmp_path, capsys):
+    _, seen = resolved(monkeypatch, command)
+    others = sorted(set(seen) - set(OPTION_TABLE[command]))
+    assert {"command", "config", "func"} <= set(others)
+    for key in others:
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key}=x\n")
+        rc, _ = resolved(monkeypatch, command, "--config", str(cfg))
+        assert rc == 3, key
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: unknown keys") and key in err
+
+
 # ---------------------------------------------------------------------------
 # calibrate / eval
 
 
 def test_calibrate_stores_threshold(calibrated_path, capsys):
-    model, _, _, calib = load_checkpoint(calibrated_path)
+    _, _, _, calib = load_checkpoint(calibrated_path)
     assert calib is not None
-    assert model.threshold == calib.threshold
     assert 0.0 < calib.threshold <= 1.0
 
 
