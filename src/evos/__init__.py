@@ -7,14 +7,9 @@ reliable predictions from samples that should be rejected or referred.
 
 __version__ = "0.1.0"
 
-from .calibration import Confidence, ThresholdCalibration, calibrate
+from .calibration import ThresholdCalibration, calibrate
 from .data import Dataset, gen_blobs, gen_ood, load_csv, save_csv, split_622
-from .head import (
-    DirichletParams,
-    SubjectiveOpinion,
-    opinion_from_alpha,
-    opinion_from_features,
-)
+from .head import SubjectiveOpinion, opinion_from_alpha
 from .losses import Schedule
 from .metrics import MetricReport, evaluate, ood_detection_rate
 from .mlp import MlpConfig, MlpParams
@@ -22,9 +17,7 @@ from .records import Predictions
 from .training import Model, TrainConfig, TrainResult, predict, predict_records, train
 
 __all__ = [
-    "Confidence",
     "Dataset",
-    "DirichletParams",
     "MetricReport",
     "MlpConfig",
     "MlpParams",
@@ -42,7 +35,6 @@ __all__ = [
     "load_csv",
     "ood_detection_rate",
     "opinion_from_alpha",
-    "opinion_from_features",
     "predict",
     "predict_records",
     "save_csv",

@@ -16,17 +16,11 @@ low-confidence and should be referred / rejected downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import CalibrationError
 from .records import Predictions
-
-
-class Confidence(Enum):
-    HIGH = "high_confidence"
-    LOW = "low_confidence"
 
 
 @dataclass(frozen=True)
@@ -44,31 +38,16 @@ class ThresholdCalibration:
     coefficient: float = 2.0
 
     def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "coefficient": self.coefficient,
-            "tpr_at_threshold": self.tpr_at_threshold,
-            "fpr_at_threshold": self.fpr_at_threshold,
-            "objective_value": self.objective_value,
-            "candidates": self.candidates.tolist(),
-            "tpr": self.tpr.tolist(),
-            "fpr": self.fpr.tolist(),
-            "objective": self.objective.tolist(),
-        }
+        """The fields as plain JSON: arrays become lists."""
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(self).items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ThresholdCalibration":
-        return cls(
-            candidates=np.asarray(d["candidates"], dtype=np.float64),
-            tpr=np.asarray(d["tpr"], dtype=np.float64),
-            fpr=np.asarray(d["fpr"], dtype=np.float64),
-            objective=np.asarray(d["objective"], dtype=np.float64),
-            threshold=float(d["threshold"]),
-            tpr_at_threshold=float(d["tpr_at_threshold"]),
-            fpr_at_threshold=float(d["fpr_at_threshold"]),
-            objective_value=float(d["objective_value"]),
-            coefficient=float(d["coefficient"]),
-        )
+        """Inverse of ``to_dict``: lists become float64 arrays, the rest floats."""
+        return cls(**{
+            k: np.asarray(v, dtype=np.float64) if isinstance(v, list) else float(v)
+            for k, v in d.items()
+        })
 
 
 def wrong_labels(predicted: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -147,12 +126,3 @@ def calibrate(preds: Predictions, coefficient: float = 2.0) -> ThresholdCalibrat
     wrong = wrong_labels(preds.predicted, preds.labels)
     candidates, tpr, fpr = roc_sweep(preds.uncertainty, wrong)
     return select_threshold(candidates, tpr, fpr, coefficient)
-
-
-def confidence_of(uncertainty: float, threshold: float) -> Confidence:
-    """Boundary convention: u >= theta is LOW confidence (refer/reject)."""
-    return Confidence.LOW if uncertainty >= threshold else Confidence.HIGH
-
-
-def low_confidence_mask(uncertainty: np.ndarray, threshold: float) -> np.ndarray:
-    return np.asarray(uncertainty, dtype=np.float64) >= threshold

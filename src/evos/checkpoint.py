@@ -3,8 +3,9 @@
 Both are JSON with sorted keys and a format_version, written with a
 trailing newline so identical content is byte-identical on disk.  Arrays
 are base64-encoded little-endian float64, which round-trips bit-exactly.
-Readers are strict: unknown keys or a wrong version are rejected, so stale
-files fail loudly instead of half-loading.
+The reader is strict: unknown or missing keys, at the top level or in a
+sub-object, a wrong version, or weights that do not fit the layer sizes are
+rejected, so stale files fail loudly instead of half-loading.
 
 Version 2 adds the evidence gate of evidential models (``gate``: the
 logit means, per-dimension scale and onset of ``head.EvidenceGate``, or
@@ -15,6 +16,7 @@ of the last training epoch, which nothing read after training.
 from __future__ import annotations
 
 import base64
+import dataclasses
 import hashlib
 import json
 import os
@@ -40,8 +42,6 @@ _CHECKPOINT_KEYS = {
     "calibration",
     "gate",
 }
-_GATE_KEYS = {"means", "scale", "onset"}
-_REPORT_KEYS = {"format_version", "kind", "command", "seed", "inputs", "sections"}
 
 
 def encode_array(a: np.ndarray) -> dict:
@@ -84,23 +84,21 @@ def _load(path) -> dict:
         raise DataError(f"{path}: not valid JSON ({e})") from None
 
 
-def _check_keys(obj: dict, allowed: set, path, kind: str) -> None:
+def _exact(obj, keys, path, what: str) -> dict:
+    """``obj`` if it is a JSON object with exactly ``keys``, or exactly the
+    fields of the dataclass ``keys``; DataError otherwise."""
+    if dataclasses.is_dataclass(keys):
+        keys = {f.name for f in dataclasses.fields(keys)}
     if not isinstance(obj, dict):
-        raise DataError(f"{path}: expected a JSON object")
-    unknown = set(obj) - allowed
-    missing = allowed - set(obj)
+        raise DataError(f"{path}: {what}: expected a JSON object")
+    unknown = set(obj) - keys
+    missing = keys - set(obj)
     if unknown or missing:
         raise DataError(
-            f"{path}: bad {kind} schema (unknown: {sorted(unknown)}, "
+            f"{path}: bad {what} schema (unknown: {sorted(unknown)}, "
             f"missing: {sorted(missing)})"
         )
-    if obj.get("format_version") != FORMAT_VERSION:
-        raise DataError(
-            f"{path}: format_version {obj.get('format_version')!r}, "
-            f"this build reads {FORMAT_VERSION}"
-        )
-    if obj.get("kind") != kind:
-        raise DataError(f"{path}: kind {obj.get('kind')!r}, expected {kind!r}")
+    return obj
 
 
 def save_checkpoint(
@@ -113,29 +111,13 @@ def save_checkpoint(
     obj = {
         "format_version": FORMAT_VERSION,
         "kind": "checkpoint",
-        "mlp": {
-            "input_dim": model.config.input_dim,
-            "output_dim": model.config.output_dim,
-            "hidden_dims": list(model.config.hidden_dims),
-            "activation": model.config.activation,
-            "dropout_rate": model.config.dropout_rate,
-            "seed": model.config.seed,
-        },
+        "mlp": dataclasses.asdict(model.config),
         "params": {
             "weights": [encode_array(w) for w in model.params.weights],
             "biases": [encode_array(b) for b in model.params.biases],
         },
         "objective": model.objective,
-        "train_config": {
-            "epochs": train_config.epochs,
-            "learning_rate": train_config.learning_rate,
-            "weight_decay": train_config.weight_decay,
-            "batch_size": train_config.batch_size,
-            "anneal_epochs": train_config.anneal_epochs,
-            "objective": train_config.objective,
-            "seed": train_config.seed,
-            "snapshot_count": train_config.snapshot_count,
-        },
+        "train_config": dataclasses.asdict(train_config),
         "dataset_fingerprint": dataset_fingerprint,
         "calibration": calibration.to_dict() if calibration is not None else None,
         "gate": _encode_gate(model.gate),
@@ -156,8 +138,7 @@ def _encode_gate(gate: EvidenceGate | None) -> dict | None:
 def _decode_gate(obj, output_dim: int, path) -> EvidenceGate | None:
     if obj is None:
         return None
-    if not isinstance(obj, dict) or set(obj) != _GATE_KEYS:
-        raise DataError(f"{path}: gate must be null or hold exactly {sorted(_GATE_KEYS)}")
+    _exact(obj, EvidenceGate, path, "gate")
     gate = EvidenceGate(
         means=decode_array(obj["means"]),
         scale=decode_array(obj["scale"]),
@@ -170,33 +151,32 @@ def _decode_gate(obj, output_dim: int, path) -> EvidenceGate | None:
 
 
 def load_checkpoint(path) -> tuple[Model, TrainConfig, str, ThresholdCalibration | None]:
-    obj = _load(path)
-    _check_keys(obj, _CHECKPOINT_KEYS, path, "checkpoint")
-    m = obj["mlp"]
-    cfg = mlp.MlpConfig(
-        input_dim=m["input_dim"],
-        output_dim=m["output_dim"],
-        hidden_dims=tuple(m["hidden_dims"]),
-        activation=m["activation"],
-        dropout_rate=m["dropout_rate"],
-        seed=m["seed"],
-    )
-    params = mlp.MlpParams(
-        weights=[decode_array(w) for w in obj["params"]["weights"]],
-        biases=[decode_array(b) for b in obj["params"]["biases"]],
-    )
-    calib = (
-        ThresholdCalibration.from_dict(obj["calibration"])
-        if obj["calibration"] is not None
-        else None
-    )
+    obj = _exact(_load(path), _CHECKPOINT_KEYS, path, "checkpoint")
+    if obj["format_version"] != FORMAT_VERSION:
+        raise DataError(
+            f"{path}: format_version {obj['format_version']!r}, "
+            f"this build reads {FORMAT_VERSION}"
+        )
+    if obj["kind"] != "checkpoint":
+        raise DataError(f"{path}: kind {obj['kind']!r}, expected 'checkpoint'")
+    cfg = mlp.MlpConfig(**_exact(obj["mlp"], mlp.MlpConfig, path, "mlp"))
+    p = _exact(obj["params"], {"weights", "biases"}, path, "params")
+    weights = [decode_array(w) for w in p["weights"]]
+    biases = [decode_array(b) for b in p["biases"]]
+    dims = cfg.layer_dims
+    if [w.shape for w in weights] != dims or [b.shape for b in biases] != [(o,) for _, o in dims]:
+        raise DataError(f"{path}: params do not fit the layer sizes {dims}")
+    calib = obj["calibration"]
+    if calib is not None:
+        calib = _exact(calib, ThresholdCalibration, path, "calibration")
+        calib = ThresholdCalibration.from_dict(calib)
     model = Model(
         config=cfg,
-        params=params,
+        params=mlp.MlpParams(weights=weights, biases=biases),
         objective=obj["objective"],
         gate=_decode_gate(obj["gate"], cfg.output_dim, path),
     )
-    tc = TrainConfig(**obj["train_config"])
+    tc = TrainConfig(**_exact(obj["train_config"], TrainConfig, path, "train_config"))
     return model, tc, obj["dataset_fingerprint"], calib
 
 
@@ -214,9 +194,3 @@ def save_report(path, command: str, seed: int, inputs: dict, sections: dict) -> 
         "sections": sections,
     }
     _dump(obj, path)
-
-
-def load_report(path) -> dict:
-    obj = _load(path)
-    _check_keys(obj, _REPORT_KEYS, path, "report")
-    return obj

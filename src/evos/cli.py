@@ -62,18 +62,19 @@ def _load_config_file(path) -> dict[str, str]:
     return out
 
 
-def _coerce(raw: str, like):
+def _coerce(key: str, raw: str, like):
+    """``raw`` as the type of the default ``like``; DataError naming the key."""
     if isinstance(like, bool):
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
-        raise DataError(f"config: cannot parse boolean from {raw!r}")
-    if isinstance(like, int):
-        return int(raw)
-    if isinstance(like, float):
-        return float(raw)
-    return raw
+    else:
+        try:
+            return type(like)(raw)
+        except ValueError:
+            pass
+    raise DataError(f"config: {key}: cannot parse {raw!r} as {type(like).__name__}")
 
 
 def _parse_hidden(text: str) -> tuple[int, ...]:
@@ -574,7 +575,7 @@ def _with_config(parser: argparse.ArgumentParser, args, argv) -> argparse.Namesp
     unknown = set(file_vals) - set(defaults)
     if unknown:
         raise DataError(f"config: unknown keys {sorted(unknown)}")
-    sp.set_defaults(**{k: _coerce(v, defaults[k]) for k, v in file_vals.items()})
+    sp.set_defaults(**{k: _coerce(k, v, defaults[k]) for k, v in file_vals.items()})
     return parser.parse_args(argv)
 
 

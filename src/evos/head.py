@@ -1,5 +1,6 @@
-"""Evidential head: maps raw network outputs to Dirichlet parameters and
-subjective opinions (belief masses + a scalar uncertainty mass).
+"""Evidential head: the subjective opinion (belief masses, a scalar
+uncertainty mass, expected probabilities) of Dirichlet concentrations, and
+the evidence gate that damps evidence beyond the training data.
 
 Conventions, for K classes and evidence e >= 0:
 
@@ -18,32 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .numerics import log_gamma, softplus
-
-
-@dataclass(frozen=True)
-class DirichletParams:
-    """Concentration parameters of a (batch of) Dirichlet distribution(s)."""
-
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.alpha, dtype=np.float64)
-        if a.shape[-1] < 2:
-            raise ValueError("DirichletParams: need at least 2 classes")
-        if not np.all(np.isfinite(a)) or np.any(a < 1.0):
-            raise ValueError("DirichletParams: alpha must be finite and >= 1")
-        object.__setattr__(self, "alpha", a)
-
-    @property
-    def n_classes(self) -> int:
-        return self.alpha.shape[-1]
-
-    @property
-    def strength(self):
-        """S = sum of concentrations along the class axis."""
-        return self.alpha.sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -64,25 +39,9 @@ class SubjectiveOpinion:
         return self.beliefs.shape[-1]
 
 
-def evidence_from_features(features):
-    """Nonnegative evidence via softplus of the raw features/logits."""
-    f = np.asarray(features, dtype=np.float64)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("evidence_from_features: non-finite features")
-    return softplus(f)
-
-
-def dirichlet_from_evidence(evidence) -> DirichletParams:
-    """alpha = evidence + 1."""
-    e = np.asarray(evidence, dtype=np.float64)
-    if np.any(e < 0.0) or not np.all(np.isfinite(e)):
-        raise ValueError("dirichlet_from_evidence: evidence must be finite and >= 0")
-    return DirichletParams(alpha=e + 1.0)
-
-
-def opinion_from_alpha(d: DirichletParams) -> SubjectiveOpinion:
-    """Project Dirichlet parameters onto the opinion simplex."""
-    alpha = d.alpha
+def opinion_from_alpha(alpha) -> SubjectiveOpinion:
+    """Project Dirichlet concentrations alpha >= 1 onto the opinion simplex."""
+    alpha = np.asarray(alpha, dtype=np.float64)
     k = alpha.shape[-1]
     strength = alpha.sum(axis=-1, keepdims=True)
     beliefs = (alpha - 1.0) / strength
@@ -97,11 +56,6 @@ def opinion_from_alpha(d: DirichletParams) -> SubjectiveOpinion:
         probs=probs,
         predicted_class=predicted,
     )
-
-
-def opinion_from_features(features) -> SubjectiveOpinion:
-    """Convenience composition: features -> evidence -> alpha -> opinion."""
-    return opinion_from_alpha(dirichlet_from_evidence(evidence_from_features(features)))
 
 
 @dataclass(frozen=True)
@@ -165,19 +119,3 @@ class EvidenceGate:
         excess = self.sq_distance(logits) - self.onset
         np.maximum(excess, 0.0, out=excess)
         return np.exp(excess * (-0.5 / logits.shape[1]))
-
-
-def dirichlet_log_pdf(d: DirichletParams, p) -> float:
-    """Log density of Dirichlet(alpha) at an interior simplex point p.
-
-    Raises ValueError off the simplex (p must be strictly positive and
-    sum to 1 within 1e-8); the density itself is not defined there.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    alpha = d.alpha
-    if p.shape != alpha.shape:
-        raise ValueError("dirichlet_log_pdf: p and alpha shapes differ")
-    if np.any(p <= 0.0) or abs(float(p.sum()) - 1.0) > 1e-8:
-        raise ValueError("dirichlet_log_pdf: p is not an interior simplex point")
-    log_norm = log_gamma(alpha.sum()) - np.sum(log_gamma(alpha))
-    return float(log_norm + np.sum((alpha - 1.0) * np.log(p)))

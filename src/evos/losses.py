@@ -74,56 +74,6 @@ def _check_temperature(temperature: float):
         raise ValueError("temperature must be in (0, 1]")
 
 
-def ce_loss(probs, y):
-    """Cross-entropy -sum_k y_k ln p_k with p clamped at 1e-12."""
-    p = np.asarray(probs, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if p.shape != y.shape:
-        raise ValueError("probs and labels must have the same shape")
-    return _ce_value(p, y)
-
-
-def evidential_ce(alpha, y):
-    """Expected cross-entropy under Dirichlet(alpha):
-    sum_k y_k (psi(S) - psi(alpha_k))."""
-    return _checked_loss_and_grad("unce", alpha, y, None)[0]
-
-
-def adjusted_alpha(alpha, y):
-    """Remove the true-class concentration: alpha_hat = y + (1 - y) * alpha.
-
-    The true class entry becomes exactly 1; off-class entries are untouched.
-    """
-    a = np.asarray(alpha, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _check_pair(a, y)
-    return _adjust(a, y)
-
-
-def kl_to_uniform(alpha_hat):
-    """KL( Dirichlet(alpha_hat) || Dirichlet(1, ..., 1) ), elementwise over
-    leading axes.  Zero iff alpha_hat is all ones."""
-    a = np.asarray(alpha_hat, dtype=np.float64)
-    if np.any(a < 1.0) or not np.all(np.isfinite(a)):
-        raise ValueError("kl_to_uniform: alpha_hat must be finite and >= 1")
-    # with no true class, nothing is reset: the KL term sees alpha_hat as is
-    return _loss_and_grad("kl", a, np.zeros_like(a), None)[0]
-
-
-def tempered_ce(beliefs, y, temperature: float):
-    """Temperature-scaled belief cross-entropy: -sum_k y_k ln(b_k / tau).
-
-    Deliberately unnormalized; for temperature < 1 and b_k > tau this is
-    negative.  Beliefs are clamped at 1e-12 before the log, nothing else.
-    """
-    _check_temperature(temperature)
-    b = np.asarray(beliefs, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if b.shape != y.shape:
-        raise ValueError("beliefs and labels must have the same shape")
-    return _tce_value(b, y, temperature)
-
-
 def per_sample_loss(kind: str, alpha, y, schedule: Schedule):
     """Per-sample loss of ``kind``, one of LOSS_KINDS."""
     return _checked_loss_and_grad(kind, alpha, y, schedule)[0]
@@ -155,9 +105,8 @@ def objective(kind: str, logits, y, schedule: Schedule):
 
 
 # ---------------------------------------------------------------------------
-# Each formula appears once below, shared by the terms and by the validated
-# per-term functions above.  A term takes the shared batch quantities and
-# returns (per-sample value, d value/d alpha).
+# Each formula appears once below.  A term takes the shared batch quantities
+# and returns (per-sample value, d value/d alpha).
 
 
 class _Shared(NamedTuple):

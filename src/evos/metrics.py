@@ -58,18 +58,7 @@ class PerClassMetrics:
     macro_f1: float
 
     def to_dict(self) -> dict:
-        return {
-            "precision": self.precision.tolist(),
-            "sensitivity": self.sensitivity.tolist(),
-            "specificity": self.specificity.tolist(),
-            "f1": self.f1.tolist(),
-            "support": self.support.tolist(),
-            "included": self.included.tolist(),
-            "macro_precision": self.macro_precision,
-            "macro_sensitivity": self.macro_sensitivity,
-            "macro_specificity": self.macro_specificity,
-            "macro_f1": self.macro_f1,
-        }
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(self).items()}
 
 
 def per_class_metrics(cm: np.ndarray) -> PerClassMetrics:

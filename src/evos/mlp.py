@@ -184,7 +184,11 @@ def row_blocks(n: int) -> list[slice]:
     block when ``n`` is 0.  A lone last row joins the block before it: numpy
     multiplies a 1-row matrix by another (gemv) kernel, whose last bits
     differ.  A scorer that loops over these blocks itself and calls
-    ``infer`` on each gets the bits of one ``infer`` call on all rows."""
+    ``infer`` on each gets the bits of one ``infer`` call on all rows.
+
+    The contract is that a row's bits depend on its company: the same row
+    scored in another call, such as a one-row CSV, may differ in the last
+    bits of its logits and of the ``u`` built from them."""
     starts = list(range(0, n, BLOCK_ROWS)) or [0]
     if n > 1 and n - starts[-1] == 1:
         starts.pop()

@@ -38,7 +38,6 @@ __all__ = [
     "trigamma",
     "softmax",
     "entropy",
-    "log_beta",
 ]
 
 _LN_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
@@ -229,9 +228,3 @@ def entropy(p):
         terms = np.where(a > 0.0, a * np.log(a), 0.0)
     out = -_row_sum(terms)
     return float(out) if out.ndim == 0 else out
-
-
-def log_beta(alpha, axis: int = -1):
-    """ln of the multivariate beta function: sum ln Gamma(a_k) - ln Gamma(sum a)."""
-    a, _ = _asarray(alpha)
-    return np.sum(log_gamma(a), axis=axis) - log_gamma(np.sum(a, axis=axis))

@@ -20,7 +20,7 @@ import numpy as np
 from . import losses, mlp
 from .data import Dataset, one_hot
 from .errors import DataError, NumericError
-from .head import DirichletParams, EvidenceGate, opinion_from_alpha
+from .head import EvidenceGate, opinion_from_alpha
 from .numerics import _row_sum, entropy, softmax, softplus
 from .records import Predictions, from_scores
 
@@ -242,7 +242,7 @@ def predict(model: Model, features: np.ndarray):
     Deterministic: no dropout is applied at prediction time.
     """
     if model.is_evidential:
-        return opinion_from_alpha(DirichletParams(evidential_alpha(model, features)))
+        return opinion_from_alpha(evidential_alpha(model, features))
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     return mlp.infer(model.params, x, head=softmax_head)
 

@@ -23,8 +23,8 @@ from evos.calibration import calibrate, roc_sweep, select_threshold, wrong_label
 from evos.checkpoint import file_sha256, load_checkpoint, save_checkpoint
 from evos.cli import main as cli_main
 from evos.data import load_csv
-from evos.head import dirichlet_from_evidence, opinion_from_alpha
-from evos.losses import LOSS_KINDS, Schedule, kl_to_uniform, objective, per_sample_loss
+from evos.head import opinion_from_alpha
+from evos.losses import LOSS_KINDS, Schedule, _loss_and_grad, objective, per_sample_loss
 from evos.metrics import binary_auc
 from evos.mlp import MlpConfig, finite_diff_check, init_params
 from evos.numerics import digamma, log_gamma, trigamma
@@ -161,7 +161,7 @@ def test_criterion_1_opinion_identities():
         n = base + (10_000 - base * len(ks) if k == ks[-1] else 0)
         evidence = rng.gamma(shape=1.0, scale=10.0, size=(n, k))
         evidence[:: max(n // 7, 1)] = 0.0  # include the zero-evidence corner
-        op = opinion_from_alpha(dirichlet_from_evidence(evidence))
+        op = opinion_from_alpha(evidence + 1.0)
         mass = np.abs(op.beliefs.sum(axis=-1) + op.uncertainty - 1.0)
         prob = np.abs(op.probs - (op.beliefs + op.uncertainty[..., None] / k))
         worst_mass = max(worst_mass, float(mass.max()))
@@ -239,8 +239,9 @@ def test_criterion_3_gradient_suite():
 
 
 def test_criterion_4_loss_fixed_points():
+    # KL to the uniform Dirichlet: the "kl" term with no true class reset
     kl_worst = max(
-        abs(float(kl_to_uniform(np.ones(k)))) for k in range(2, 17)
+        abs(float(_loss_and_grad("kl", np.ones(k), np.zeros(k), None)[0])) for k in range(2, 17)
     )
     unce_val = float(
         per_sample_loss(

@@ -10,11 +10,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from evos.calibration import (
-    Confidence,
     ThresholdCalibration,
     calibrate,
-    confidence_of,
-    low_confidence_mask,
     roc_sweep,
     select_threshold,
     wrong_labels,
@@ -253,27 +250,6 @@ def test_flag_partition_invariant_under_monotone_transforms(seed):
         tu = transform(u)
         tcal = select_threshold(*roc_sweep(tu, wrong))
         assert np.array_equal(tu >= tcal.threshold, flags)
-
-
-# ---------------------------------------------------------------------------
-# confidence gating
-
-
-def test_confidence_boundary_is_low():
-    assert confidence_of(0.3, 0.3) is Confidence.LOW
-    assert confidence_of(0.0, 0.3) is Confidence.HIGH
-    assert confidence_of(1.0, 1.0) is Confidence.LOW
-
-
-def test_confidence_enum_values():
-    assert Confidence.HIGH.value == "high_confidence"
-    assert Confidence.LOW.value == "low_confidence"
-
-
-def test_low_confidence_mask_matches_scalar_gate():
-    u = np.array([0.1, 0.5, 0.50001, 0.9])
-    mask = low_confidence_mask(u, 0.5)
-    assert mask.tolist() == [False, True, True, True]
 
 
 # ---------------------------------------------------------------------------

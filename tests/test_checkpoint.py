@@ -14,7 +14,6 @@ from evos.checkpoint import (
     encode_array,
     file_sha256,
     load_checkpoint,
-    load_report,
     save_checkpoint,
     save_report,
 )
@@ -177,8 +176,40 @@ def test_reader_rejects_malformed_gate(tmp_path, trained):
 
 def test_reader_rejects_wrong_kind(tmp_path, trained):
     path = _saved_checkpoint(tmp_path, trained)
+    obj = json.loads(path.read_text())
+    obj["kind"] = "report"
+    path.write_text(json.dumps(obj))
     with pytest.raises(DataError, match="kind"):
-        load_report(path)
+        load_checkpoint(path)
+
+
+# each edit -> what the reader's error names
+_MISFITS = {
+    "mlp-extra-key": (lambda obj: obj["mlp"].update(extra=1), r"bad mlp schema.*unknown.*extra"),
+    "mlp-missing-seed": (lambda obj: obj["mlp"].pop("seed"), r"bad mlp schema.*missing.*seed"),
+    "train_config-extra-key": (
+        lambda obj: obj["train_config"].update(extra=1),
+        r"bad train_config schema.*unknown.*extra",
+    ),
+    "calibration-extra-key": (
+        lambda obj: obj["calibration"].update(extra=1),
+        r"bad calibration schema.*unknown.*extra",
+    ),
+    "two-weights-for-three-layers": (lambda obj: obj["params"]["weights"].pop(), "layer sizes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISFITS))
+def test_reader_rejects_sub_objects_that_do_not_fit(case, tmp_path, trained):
+    result, tc = trained
+    path = tmp_path / "model.json"
+    save_checkpoint(path, result.model, tc, "fp", make_calibration())
+    edit, match = _MISFITS[case]
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    with pytest.raises(DataError, match=match):
+        load_checkpoint(path)
 
 
 def test_reader_rejects_non_json(tmp_path):
@@ -208,7 +239,10 @@ def test_report_round_trip(tmp_path):
     path = tmp_path / "report.json"
     sections = {"metrics": {"accuracy": 0.95, "macro_f1": 0.93}}
     save_report(path, "eval", seed=7, inputs={"test.csv": "deadbeef"}, sections=sections)
-    obj = load_report(path)
+    obj = json.loads(path.read_text())
+    assert set(obj) == {"format_version", "kind", "command", "seed", "inputs", "sections"}
+    assert obj["format_version"] == FORMAT_VERSION
+    assert obj["kind"] == "report"
     assert obj["command"] == "eval"
     assert obj["seed"] == 7
     assert obj["inputs"] == {"test.csv": "deadbeef"}

@@ -125,6 +125,8 @@ def test_bad_option_value_is_data_error(case, calibrated_path, data_dir, tmp_pat
     assert rc == 3
     assert err.startswith("error:")
     assert "Traceback" not in err
+    if case == "config_int":
+        assert "epochs: cannot parse 'abc'" in err
     assert file_sha256(calibrated_path) == before
     assert not (tmp_path / "m.json").exists()
 

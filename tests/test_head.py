@@ -1,5 +1,5 @@
-"""Evidence → Dirichlet → subjective-opinion mapping: hand-derived values,
-algebraic invariants, and the density integral cross-check."""
+"""Evidence → Dirichlet → subjective-opinion mapping: the evidence of the
+scoring path, hand-derived opinion values and algebraic invariants."""
 
 import math
 
@@ -8,32 +8,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy import integrate
 
-from evos.head import (
-    DirichletParams,
-    SubjectiveOpinion,
-    dirichlet_from_evidence,
-    dirichlet_log_pdf,
-    evidence_from_features,
-    opinion_from_alpha,
-    opinion_from_features,
-)
+from evos import mlp
+from evos.head import SubjectiveOpinion, opinion_from_alpha
 from evos.numerics import softplus
+from evos.training import Model, evidential_alpha, predict
+
+
+def identity_model(k: int) -> Model:
+    """An evidential net without hidden layers whose logits are its inputs."""
+    cfg = mlp.MlpConfig(input_dim=k, output_dim=k, hidden_dims=(), seed=0)
+    params = mlp.MlpParams(weights=[np.eye(k)], biases=[np.zeros(k)])
+    return Model(config=cfg, params=params, objective="tun")
 
 
 # ---------------------------------------------------------------------------
-# evidence_from_features
+# evidence: alpha - 1 = softplus(logits) on the scoring path
 
 
 def test_evidence_zero_features():
-    assert_allclose(evidence_from_features(np.zeros(3)), np.full(3, math.log(2.0)))
+    e = evidential_alpha(identity_model(3), np.zeros(3))[0] - 1.0
+    assert_allclose(e, np.full(3, math.log(2.0)))
 
 
 def test_evidence_asymptotes():
-    e = evidence_from_features(np.array([-100.0, 0.0, 100.0]))
+    e = evidential_alpha(identity_model(3), np.array([-100.0, 0.0, 100.0]))[0] - 1.0
     assert e[0] == pytest.approx(0.0, abs=1e-40)
-    assert e[0] > 0
+    # softplus(-100) ~ 4e-44 is below the resolution of alpha = 1 + e
+    assert e[0] == 0.0
     assert e[1] == pytest.approx(math.log(2.0), abs=1e-15)
     assert e[2] == pytest.approx(100.0, abs=1e-12)
 
@@ -41,11 +43,12 @@ def test_evidence_asymptotes():
 def test_evidence_matches_softplus_elementwise():
     rng = np.random.default_rng(11)
     f = rng.normal(scale=5.0, size=17)
-    assert_allclose(evidence_from_features(f), softplus(f), rtol=0, atol=1e-12)
+    e = evidential_alpha(identity_model(17), f)[0] - 1.0
+    assert_allclose(e, softplus(f), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# dirichlet_from_evidence
+# the Dirichlet of the evidence: alpha = e + 1, S = K / u
 
 
 @pytest.mark.parametrize(
@@ -57,14 +60,9 @@ def test_evidence_matches_softplus_elementwise():
     ],
 )
 def test_dirichlet_from_evidence_values(e, alpha, strength):
-    d = dirichlet_from_evidence(np.asarray(e))
-    assert_allclose(d.alpha, alpha)
-    assert d.strength == pytest.approx(strength, abs=1e-9)
-
-
-def test_dirichlet_params_reject_alpha_below_one():
-    with pytest.raises(ValueError):
-        DirichletParams(np.array([0.5, 2.0]))
+    op = opinion_from_alpha(np.asarray(e) + 1.0)
+    assert_allclose(op.probs * strength, alpha)
+    assert op.n_classes / op.uncertainty == pytest.approx(strength, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -72,14 +70,14 @@ def test_dirichlet_params_reject_alpha_below_one():
 
 
 def test_opinion_zero_evidence_k9_maximal_uncertainty():
-    op = opinion_from_alpha(dirichlet_from_evidence(np.zeros(9)))
+    op = opinion_from_alpha(np.zeros(9) + 1.0)
     assert op.uncertainty == pytest.approx(1.0, abs=1e-12)
     assert_allclose(op.beliefs, np.zeros(9), atol=1e-12)
     assert_allclose(op.probs, np.full(9, 1.0 / 9.0), atol=1e-12)
 
 
 def test_opinion_hand_values_two_class():
-    op = opinion_from_alpha(dirichlet_from_evidence(np.array([3.0, 1.0])))
+    op = opinion_from_alpha(np.array([3.0, 1.0]) + 1.0)
     assert_allclose(op.beliefs, [0.5, 1.0 / 6.0], atol=1e-12)
     assert op.uncertainty == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert_allclose(op.probs, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
@@ -87,21 +85,21 @@ def test_opinion_hand_values_two_class():
 
 
 def test_opinion_hand_values_three_class():
-    op = opinion_from_alpha(dirichlet_from_evidence(np.array([2.0, 0.0, 0.0])))
+    op = opinion_from_alpha(np.array([2.0, 0.0, 0.0]) + 1.0)
     assert_allclose(op.beliefs, [0.4, 0.0, 0.0], atol=1e-12)
     assert op.uncertainty == pytest.approx(0.6, abs=1e-12)
     assert_allclose(op.probs, [0.6, 0.2, 0.2], atol=1e-12)
 
 
 def test_opinion_ties_break_to_lowest_index():
-    op = opinion_from_alpha(dirichlet_from_evidence(np.array([1.0, 1.0, 1.0])))
+    op = opinion_from_alpha(np.array([1.0, 1.0, 1.0]) + 1.0)
     assert op.predicted_class == 0
 
 
 def test_opinion_batch_shapes():
     rng = np.random.default_rng(4)
     f = rng.normal(size=(10, 6))
-    op = opinion_from_features(f)
+    op = predict(identity_model(6), f)
     assert op.beliefs.shape == (10, 6)
     assert np.shape(op.uncertainty) == (10,)
     assert op.probs.shape == (10, 6)
@@ -116,7 +114,7 @@ def test_opinion_batch_shapes():
 )
 def test_opinion_algebraic_identities(k, seed):
     e = np.random.default_rng(seed).uniform(0.0, 50.0, size=k)
-    op = opinion_from_alpha(dirichlet_from_evidence(e))
+    op = opinion_from_alpha(e + 1.0)
     assert op.beliefs.sum() + op.uncertainty == pytest.approx(1.0, abs=1e-9)
     assert_allclose(op.probs, op.beliefs + op.uncertainty / k, atol=1e-9)
     alpha = e + 1.0
@@ -133,74 +131,23 @@ def test_opinion_algebraic_identities(k, seed):
 )
 def test_scaling_evidence_decreases_uncertainty(k, seed, c):
     e = np.random.default_rng(seed).uniform(0.1, 10.0, size=k)
-    u1 = opinion_from_alpha(dirichlet_from_evidence(e)).uncertainty
-    u2 = opinion_from_alpha(dirichlet_from_evidence(c * e)).uncertainty
+    u1 = opinion_from_alpha(e + 1.0).uncertainty
+    u2 = opinion_from_alpha(c * e + 1.0).uncertainty
     assert u2 < u1
 
 
 def test_adding_single_class_evidence_moves_belief_and_uncertainty():
     e = np.array([1.0, 2.0, 0.5])
-    before = opinion_from_alpha(dirichlet_from_evidence(e))
+    before = opinion_from_alpha(e + 1.0)
     bumped = e.copy()
     bumped[1] += 3.0
-    after = opinion_from_alpha(dirichlet_from_evidence(bumped))
+    after = opinion_from_alpha(bumped + 1.0)
     assert after.beliefs[1] > before.beliefs[1]
     assert after.uncertainty < before.uncertainty
 
 
-# ---------------------------------------------------------------------------
-# dirichlet_log_pdf
-
-
-def test_log_pdf_uniform_dirichlet():
-    d = DirichletParams(np.array([1.0, 1.0, 1.0]))
-    for p in ([0.2, 0.3, 0.5], [1 / 3, 1 / 3, 1 / 3]):
-        assert dirichlet_log_pdf(d, np.asarray(p)) == pytest.approx(
-            math.log(2.0), abs=1e-12
-        )
-
-
-def test_log_pdf_beta_shapes():
-    d21 = DirichletParams(np.array([2.0, 1.0]))
-    assert dirichlet_log_pdf(d21, np.array([0.75, 0.25])) == pytest.approx(
-        math.log(1.5), abs=1e-12
-    )
-    d22 = DirichletParams(np.array([2.0, 2.0]))
-    assert dirichlet_log_pdf(d22, np.array([0.5, 0.5])) == pytest.approx(
-        math.log(1.5), abs=1e-12
-    )
-
-
-def test_log_pdf_rejects_off_simplex():
-    d = DirichletParams(np.array([2.0, 2.0]))
-    with pytest.raises(ValueError):
-        dirichlet_log_pdf(d, np.array([0.7, 0.2]))
-    with pytest.raises(ValueError):
-        dirichlet_log_pdf(d, np.array([1.0, 0.0]))  # boundary is off-limits
-
-
-def test_log_pdf_integrates_to_one_k2():
-    d = DirichletParams(np.array([2.5, 1.7]))
-    val, _ = integrate.quad(
-        lambda t: math.exp(dirichlet_log_pdf(d, np.array([t, 1.0 - t]))), 1e-9, 1 - 1e-9
-    )
-    assert val == pytest.approx(1.0, rel=1e-2)
-
-
-def test_log_pdf_integrates_to_one_k3():
-    d = DirichletParams(np.array([2.0, 3.0, 1.5]))
-    val, _ = integrate.dblquad(
-        lambda y, x: math.exp(dirichlet_log_pdf(d, np.array([x, y, 1.0 - x - y]))),
-        1e-9,
-        1 - 1e-9,
-        lambda x: 1e-9,
-        lambda x: 1 - x - 1e-9,
-    )
-    assert val == pytest.approx(1.0, rel=1e-2)
-
-
 def test_subjective_opinion_is_frozen_value_object():
-    op = opinion_from_alpha(dirichlet_from_evidence(np.array([3.0, 1.0])))
+    op = opinion_from_alpha(np.array([3.0, 1.0]) + 1.0)
     assert isinstance(op, SubjectiveOpinion)
     with pytest.raises(AttributeError):
         op.uncertainty = 0.5

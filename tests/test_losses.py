@@ -14,24 +14,24 @@ from scipy import integrate
 
 from evos import losses
 from evos.data import gen_blobs
-from evos.head import dirichlet_from_evidence, opinion_from_alpha
+from evos.head import opinion_from_alpha
 from evos.losses import (
     LOSS_KINDS,
     PROB_FLOOR,
     Schedule,
-    adjusted_alpha,
-    ce_loss,
-    evidential_ce,
-    kl_to_uniform,
+    _adjust,
+    _ce_value,
+    _loss_and_grad,
+    _tce_value,
     loss_grad_alpha,
     objective,
     per_sample_loss,
-    tempered_ce,
 )
 from evos.numerics import digamma, log_gamma, sigmoid, softmax, softplus, trigamma
 from evos.training import TrainConfig, train
 
 PI2_6 = math.pi**2 / 6.0
+EPOCH0 = Schedule.for_epoch(0)
 
 
 def one_hot(c: int, k: int) -> np.ndarray:
@@ -41,53 +41,48 @@ def one_hot(c: int, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# ce_loss
+# cross-entropy -sum_k y_k ln p_k, p clamped at PROB_FLOOR
 
 
 def test_ce_matching_one_hot_is_zero():
     y = one_hot(1, 3)
-    assert ce_loss(y, y) == pytest.approx(0.0, abs=1e-11)
+    assert _ce_value(y, y) == pytest.approx(0.0, abs=1e-11)
 
 
 def test_ce_uniform_is_log_k():
-    assert ce_loss(np.full(9, 1 / 9), one_hot(4, 9)) == pytest.approx(
+    assert _ce_value(np.full(9, 1 / 9), one_hot(4, 9)) == pytest.approx(
         math.log(9.0), abs=1e-12
     )
 
 
 def test_ce_half_is_log_two():
-    assert ce_loss(np.array([0.5, 0.5]), one_hot(0, 2)) == pytest.approx(
+    assert _ce_value(np.array([0.5, 0.5]), one_hot(0, 2)) == pytest.approx(
         math.log(2.0), abs=1e-15
     )
 
 
 def test_ce_clamps_zero_probability():
     # p=0 on the true class clamps at 1e-12, not inf
-    val = ce_loss(np.array([0.0, 1.0]), one_hot(0, 2))
+    val = _ce_value(np.array([0.0, 1.0]), one_hot(0, 2))
     assert val == pytest.approx(-math.log(1e-12), rel=1e-12)
 
 
 def test_ce_dimension_mismatch():
     with pytest.raises(ValueError):
-        ce_loss(np.array([0.5, 0.5]), one_hot(0, 3))
+        per_sample_loss("ce", np.array([1.0, 1.0]), one_hot(0, 3), EPOCH0)
 
 
 # ---------------------------------------------------------------------------
-# evidential_ce (expected CE under the Dirichlet)
+# unce: expected cross-entropy under the Dirichlet
 
 
 def test_evidential_ce_recurrence_values():
-    assert evidential_ce(np.array([1.0, 1.0]), one_hot(0, 2)) == pytest.approx(
-        1.0, abs=1e-10
-    )
-    assert evidential_ce(np.array([2.0, 1.0]), one_hot(0, 2)) == pytest.approx(
-        0.5, abs=1e-10
-    )
-    # psi(9) - psi(5) unrolled through the recurrence
-    expect = 1 / 5 + 1 / 6 + 1 / 7 + 1 / 8
-    assert evidential_ce(np.array([5.0, 2.0, 2.0]), one_hot(0, 3)) == pytest.approx(
-        expect, abs=1e-10
-    )
+    # the last is psi(9) - psi(5) unrolled through the recurrence
+    cases = (([1.0, 1.0], 1.0), ([2.0, 1.0], 0.5), ([5.0, 2.0, 2.0], 1 / 5 + 1 / 6 + 1 / 7 + 1 / 8))
+    for alpha, expect in cases:
+        y = one_hot(0, len(alpha))
+        value = per_sample_loss("unce", np.array(alpha), y, EPOCH0)
+        assert value == pytest.approx(expect, abs=1e-10)
 
 
 @settings(deadline=None, max_examples=200)
@@ -99,7 +94,7 @@ def test_evidential_ce_nonnegative(k, seed):
     rng = np.random.default_rng(seed)
     alpha = 1.0 + rng.uniform(0.0, 50.0, size=k)
     y = one_hot(int(rng.integers(k)), k)
-    assert evidential_ce(alpha, y) >= 0.0
+    assert per_sample_loss("unce", alpha, y, EPOCH0) >= 0.0
 
 
 def test_evidential_ce_matches_sampled_expectation():
@@ -108,11 +103,11 @@ def test_evidential_ce_matches_sampled_expectation():
     rng = np.random.default_rng(123)
     draws = rng.dirichlet(alpha, size=400_000)
     mc = float(np.mean(-np.log(draws[:, 0])))
-    assert evidential_ce(alpha, one_hot(0, 3)) == pytest.approx(mc, abs=3e-3)
+    assert per_sample_loss("unce", alpha, one_hot(0, 3), EPOCH0) == pytest.approx(mc, abs=3e-3)
 
 
 # ---------------------------------------------------------------------------
-# adjusted_alpha
+# alpha_hat: the true class reset to 1
 
 
 @pytest.mark.parametrize(
@@ -124,20 +119,23 @@ def test_evidential_ce_matches_sampled_expectation():
     ],
 )
 def test_adjusted_alpha_values(alpha, y, expect):
-    assert_allclose(adjusted_alpha(np.asarray(alpha), y), expect)
+    assert_allclose(_adjust(np.asarray(alpha), y), expect)
 
 
 # ---------------------------------------------------------------------------
-# kl_to_uniform
+# KL( Dir(alpha_hat) || Dir(1, ..., 1) ): the "kl" term with no true class,
+# so that nothing is reset and the term sees alpha_hat as is
 
 
 def test_kl_all_ones_is_exactly_zero():
     for k in (2, 5, 9):
-        assert abs(kl_to_uniform(np.ones(k))) < 1e-12
+        a = np.ones(k)
+        assert abs(_loss_and_grad("kl", a, np.zeros_like(a), None)[0]) < 1e-12
 
 
 def test_kl_hand_value_two_one():
-    assert kl_to_uniform(np.array([2.0, 1.0])) == pytest.approx(
+    a = np.array([2.0, 1.0])
+    assert _loss_and_grad("kl", a, np.zeros_like(a), None)[0] == pytest.approx(
         math.log(2.0) - 0.5, abs=1e-10
     )
 
@@ -154,7 +152,8 @@ def test_kl_222_matches_quadrature_oracle():
     val, _ = integrate.dblquad(
         integrand, 1e-9, 1 - 2e-9, lambda x: 1e-9, lambda x: 1 - x - 1e-9
     )
-    assert kl_to_uniform(np.asarray(alpha)) == pytest.approx(val, abs=1e-3)
+    a = np.asarray(alpha)
+    assert _loss_and_grad("kl", a, np.zeros_like(a), None)[0] == pytest.approx(val, abs=1e-3)
 
 
 @settings(deadline=None, max_examples=200)
@@ -165,7 +164,7 @@ def test_kl_222_matches_quadrature_oracle():
 def test_kl_nonnegative_and_zero_only_at_ones(k, seed):
     rng = np.random.default_rng(seed)
     a = 1.0 + rng.uniform(0.0, 30.0, size=k)
-    val = kl_to_uniform(a)
+    val = _loss_and_grad("kl", a, np.zeros_like(a), None)[0]
     assert val >= -1e-12
     if np.any(a > 1.0 + 1e-6):
         assert val > 0.0
@@ -174,13 +173,13 @@ def test_kl_nonnegative_and_zero_only_at_ones(k, seed):
 def test_kl_random_sweep_nonnegative():
     rng = np.random.default_rng(7)
     a = 1.0 + rng.uniform(0.0, 40.0, size=(10_000, 4))
-    vals = kl_to_uniform(a)
+    vals = _loss_and_grad("kl", a, np.zeros_like(a), None)[0]
     assert vals.shape == (10_000,)
     assert (vals >= -1e-12).all()
 
 
 # ---------------------------------------------------------------------------
-# the un and tun kinds / tempered_ce
+# the un and tun kinds / the tempered belief cross-entropy
 
 FULL_KL = Schedule(epoch=10, kl_weight=1.0)
 
@@ -189,7 +188,7 @@ def test_un_loss_lambda_zero_is_evidential_ce():
     alpha = np.array([4.0, 2.0])
     y = one_hot(0, 2)
     assert per_sample_loss("un", alpha, y, Schedule(epoch=0)) == pytest.approx(
-        evidential_ce(alpha, y), abs=1e-14
+        per_sample_loss("unce", alpha, y, EPOCH0), abs=1e-14
     )
 
 
@@ -203,7 +202,9 @@ def test_un_loss_at_unit_alpha():
 def test_un_loss_composes_components():
     alpha = np.array([4.0, 2.0])
     y = one_hot(0, 2)
-    expect = evidential_ce(alpha, y) + kl_to_uniform(adjusted_alpha(alpha, y))
+    a_hat = _adjust(alpha, y)
+    kl = _loss_and_grad("kl", a_hat, np.zeros_like(a_hat), None)[0]
+    expect = per_sample_loss("unce", alpha, y, EPOCH0) + kl
     assert per_sample_loss("un", alpha, y, FULL_KL) == pytest.approx(expect, abs=1e-14)
 
 
@@ -218,18 +219,18 @@ def test_un_loss_nonincreasing_in_true_class_evidence():
 
 def test_tempered_ce_values():
     y = one_hot(0, 2)
-    assert tempered_ce(np.array([0.5, 0.2]), y, 1.0) == pytest.approx(
+    assert _tce_value(np.array([0.5, 0.2]), y, 1.0) == pytest.approx(
         math.log(2.0), abs=1e-12
     )
-    assert tempered_ce(np.array([0.3, 0.1]), y, 0.3) == pytest.approx(0.0, abs=1e-12)
-    assert tempered_ce(np.array([0.5, 0.2]), y, 0.01) == pytest.approx(
+    assert _tce_value(np.array([0.3, 0.1]), y, 0.3) == pytest.approx(0.0, abs=1e-12)
+    assert _tce_value(np.array([0.5, 0.2]), y, 0.01) == pytest.approx(
         -math.log(50.0), abs=1e-10
     )
 
 
 def test_tempered_ce_clamps_zero_belief():
     y = one_hot(0, 2)
-    val = tempered_ce(np.array([0.0, 0.4]), y, 1.0)
+    val = _tce_value(np.array([0.0, 0.4]), y, 1.0)
     assert val == pytest.approx(-math.log(1e-12), rel=1e-12)
 
 
@@ -237,16 +238,16 @@ def test_tempered_ce_rejects_bad_temperature():
     y = one_hot(0, 2)
     for tau in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError):
-            tempered_ce(np.array([0.5, 0.2]), y, tau)
+            per_sample_loss("tce", np.array([1.5, 1.2]), y, Schedule(epoch=0, temperature=tau))
 
 
 def test_tun_loss_composes_at_schedule_points():
     alpha = np.array([4.0, 2.0])
     y = one_hot(0, 2)
-    beliefs = opinion_from_alpha(dirichlet_from_evidence(alpha - 1.0)).beliefs
+    beliefs = opinion_from_alpha(alpha).beliefs
     for epoch in (0, 5, 10, 25):
         sch = Schedule.for_epoch(epoch)
-        expect = per_sample_loss("un", alpha, y, sch) + tempered_ce(
+        expect = per_sample_loss("un", alpha, y, sch) + _tce_value(
             beliefs, y, sch.temperature
         )
         assert per_sample_loss("tun", alpha, y, sch) == pytest.approx(expect, abs=1e-12)
@@ -390,7 +391,7 @@ def test_objective_standard_ce_is_softmax_cross_entropy():
     logits, y = _logit_batch()
     loss, grad = objective("standard_ce", logits, y, Schedule.for_epoch(5))
     probs = softmax(logits)
-    assert loss == float(np.mean(ce_loss(probs, y)))
+    assert loss == float(np.mean(_ce_value(probs, y)))
     assert grad.tobytes() == ((probs - y) / len(logits)).tobytes()
 
 

@@ -281,10 +281,12 @@ def test_evaluate_referring_all_errors_gives_perfect_f1():
     labels = np.array([0, 1, 2, 1, 2, 0])  # last three wrong
     u = np.array([0.1, 0.1, 0.1, 0.8, 0.9, 0.7])
     recs = make_records(predicted, labels, u=u)
-    rep = evaluate(recs, threshold=0.5)
-    assert rep.n_referred == 3
-    assert rep.per_class.macro_f1 == pytest.approx(1.0)
-    assert rep.accuracy == pytest.approx(1.0)
+    # at theta = 0.7 the row with u == theta is referred too
+    for theta in (0.5, 0.7):
+        rep = evaluate(recs, threshold=theta)
+        assert rep.n_referred == 3
+        assert rep.per_class.macro_f1 == pytest.approx(1.0)
+        assert rep.accuracy == pytest.approx(1.0)
 
 
 def test_evaluate_total_conservation():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from evos.head import opinion_from_features
 from evos.losses import LOSS_KINDS, Schedule, objective
 from evos.mlp import (
     BLOCK_ROWS,

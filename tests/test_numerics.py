@@ -16,7 +16,6 @@ from evos.numerics import (
     _row_sum,
     digamma,
     entropy,
-    log_beta,
     log_gamma,
     sigmoid,
     softmax,
@@ -413,21 +412,3 @@ def test_entropy_rejects_nan_rows(row):
 def test_entropy_maximized_by_uniform(k, seed):
     p = np.random.default_rng(seed).dirichlet(np.ones(k))
     assert entropy(np.full(k, 1.0 / k)) >= entropy(p) - 1e-12
-
-
-# ---------------------------------------------------------------------------
-# log_beta
-
-
-def test_log_beta_matches_gamma_identity():
-    rng = np.random.default_rng(3)
-    a = rng.uniform(0.3, 20.0, size=(20, 4))
-    expect = np.sum(scipy.special.gammaln(a), axis=-1) - scipy.special.gammaln(
-        a.sum(axis=-1)
-    )
-    assert_allclose(log_beta(a), expect, rtol=1e-12)
-
-
-def test_log_beta_symmetric_two_dim():
-    # B([1,1]) = 1 so log is 0
-    assert log_beta(np.array([1.0, 1.0])) == pytest.approx(0.0, abs=1e-14)
