@@ -5,7 +5,10 @@ trailing newline so identical content is byte-identical on disk.  Arrays
 are base64-encoded little-endian float64, which round-trips bit-exactly.
 The reader is strict: unknown or missing keys, at the top level or in a
 sub-object, a wrong version, or weights that do not fit the layer sizes are
-rejected, so stale files fail loudly instead of half-loading.
+rejected, and so is a value whose JSON type does not fit its field (a
+string where an int belongs, an objective outside ``OBJECTIVES``, an
+encoded array without its data), so stale files fail loudly instead of
+half-loading.
 
 Version 2 adds the evidence gate of evidential models (``gate``: the
 logit means, per-dimension scale and onset of ``head.EvidenceGate``, or
@@ -27,7 +30,7 @@ from . import mlp
 from .calibration import ThresholdCalibration
 from .errors import DataError
 from .head import EvidenceGate
-from .training import Model, TrainConfig
+from .training import OBJECTIVES, Model, TrainConfig
 
 FORMAT_VERSION = 3
 
@@ -65,7 +68,8 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
-def _dump(obj: dict, path) -> None:
+def write_json(obj: dict, path) -> None:
+    """``obj`` as sorted, indented JSON and a newline, in a new or existing directory."""
     parent = os.path.dirname(str(path))
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -84,11 +88,26 @@ def _load(path) -> dict:
         raise DataError(f"{path}: not valid JSON ({e})") from None
 
 
+def _is_num(v, types=(int, float)) -> bool:
+    return isinstance(v, types) and not isinstance(v, bool)
+
+
+# the JSON value check of each field annotation of a dataclass a checkpoint holds
+_JSON_CHECKS = {
+    "int": lambda v: _is_num(v, int),
+    "float": _is_num,
+    "str": lambda v: isinstance(v, str),
+    "tuple[int, ...]": lambda v: isinstance(v, list) and all(_is_num(d, int) for d in v),
+    "np.ndarray": lambda v: isinstance(v, list) and all(map(_is_num, v)),
+}
+
+
 def _exact(obj, keys, path, what: str) -> dict:
     """``obj`` if it is a JSON object with exactly ``keys``, or exactly the
-    fields of the dataclass ``keys``; DataError otherwise."""
-    if dataclasses.is_dataclass(keys):
-        keys = {f.name for f in dataclasses.fields(keys)}
+    fields of the dataclass ``keys`` with values of their JSON types;
+    DataError naming the key otherwise."""
+    fields = dataclasses.fields(keys) if dataclasses.is_dataclass(keys) else ()
+    keys = {f.name for f in fields} if fields else keys
     if not isinstance(obj, dict):
         raise DataError(f"{path}: {what}: expected a JSON object")
     unknown = set(obj) - keys
@@ -98,7 +117,22 @@ def _exact(obj, keys, path, what: str) -> dict:
             f"{path}: bad {what} schema (unknown: {sorted(unknown)}, "
             f"missing: {sorted(missing)})"
         )
+    for f in fields:
+        if not _JSON_CHECKS[f.type](obj[f.name]):
+            raise DataError(f"{path}: {what}.{f.name}: expected {f.type}, got {obj[f.name]!r}")
     return obj
+
+
+def _array(obj, path, what: str) -> np.ndarray:
+    """``decode_array(obj)``; DataError naming ``what`` if obj is malformed."""
+    shape = _exact(obj, {"shape", "data"}, path, what)["shape"]
+    sizes = _JSON_CHECKS["tuple[int, ...]"](shape) and all(d >= 0 for d in shape)
+    try:
+        if not (sizes and isinstance(obj["data"], str)):
+            raise ValueError("expected a list of sizes and a base64 string")
+        return decode_array(obj)
+    except ValueError as e:  # also bad base64, or data that does not fit the shape
+        raise DataError(f"{path}: {what}: {e}") from None
 
 
 def save_checkpoint(
@@ -122,7 +156,7 @@ def save_checkpoint(
         "calibration": calibration.to_dict() if calibration is not None else None,
         "gate": _encode_gate(model.gate),
     }
-    _dump(obj, path)
+    write_json(obj, path)
 
 
 def _encode_gate(gate: EvidenceGate | None) -> dict | None:
@@ -138,16 +172,13 @@ def _encode_gate(gate: EvidenceGate | None) -> dict | None:
 def _decode_gate(obj, output_dim: int, path) -> EvidenceGate | None:
     if obj is None:
         return None
-    _exact(obj, EvidenceGate, path, "gate")
-    gate = EvidenceGate(
-        means=decode_array(obj["means"]),
-        scale=decode_array(obj["scale"]),
-        onset=float(decode_array(obj["onset"])),
-    )
+    keys = ("means", "scale", "onset")  # encoded arrays, not EvidenceGate's JSON types
+    _exact(obj, set(keys), path, "gate")
+    means, scale, onset = (_array(obj[k], path, f"gate.{k}") for k in keys)
     k = output_dim
-    if gate.scale.shape != (k,) or gate.means.ndim != 2 or gate.means.shape[1] != k:
+    if scale.shape != (k,) or means.ndim != 2 or means.shape[1] != k or onset.shape != ():
         raise DataError(f"{path}: gate shapes do not match the network's {output_dim} outputs")
-    return gate
+    return EvidenceGate(means=means, scale=scale, onset=float(onset))
 
 
 def load_checkpoint(path) -> tuple[Model, TrainConfig, str, ThresholdCalibration | None]:
@@ -159,10 +190,16 @@ def load_checkpoint(path) -> tuple[Model, TrainConfig, str, ThresholdCalibration
         )
     if obj["kind"] != "checkpoint":
         raise DataError(f"{path}: kind {obj['kind']!r}, expected 'checkpoint'")
+    if obj["objective"] not in OBJECTIVES:
+        raise DataError(f"{path}: objective {obj['objective']!r}, expected one of {OBJECTIVES}")
     cfg = mlp.MlpConfig(**_exact(obj["mlp"], mlp.MlpConfig, path, "mlp"))
     p = _exact(obj["params"], {"weights", "biases"}, path, "params")
-    weights = [decode_array(w) for w in p["weights"]]
-    biases = [decode_array(b) for b in p["biases"]]
+    if not all(isinstance(v, list) for v in p.values()):
+        raise DataError(f"{path}: params: expected lists of encoded arrays")
+    weights, biases = (
+        [_array(a, path, f"params.{k}[{i}]") for i, a in enumerate(p[k])]
+        for k in ("weights", "biases")
+    )
     dims = cfg.layer_dims
     if [w.shape for w in weights] != dims or [b.shape for b in biases] != [(o,) for _, o in dims]:
         raise DataError(f"{path}: params do not fit the layer sizes {dims}")
@@ -193,4 +230,4 @@ def save_report(path, command: str, seed: int, inputs: dict, sections: dict) -> 
         "inputs": inputs,
         "sections": sections,
     }
-    _dump(obj, path)
+    write_json(obj, path)

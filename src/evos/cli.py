@@ -25,12 +25,7 @@ import numpy as np
 
 from . import baselines, mlp
 from .calibration import calibrate
-from .checkpoint import (
-    file_sha256,
-    load_checkpoint,
-    save_checkpoint,
-    save_report,
-)
+from .checkpoint import file_sha256, load_checkpoint, save_checkpoint, save_report, write_json
 from .data import OOD_LABEL, gen_blobs, gen_ood, load_csv, save_csv, split_622
 from .errors import DataError, NumericError
 from .metrics import evaluate, ood_detection_rate
@@ -93,11 +88,7 @@ def _snapshot_paths(ckpt_path: str) -> list[str]:
 
 
 def _load_snapshots(ckpt_path: str) -> list[mlp.MlpParams]:
-    out = []
-    for p in _snapshot_paths(ckpt_path):
-        model, _, _, _ = load_checkpoint(p)
-        out.append(model.params)
-    return out
+    return [load_checkpoint(p)[0].params for p in _snapshot_paths(ckpt_path)]
 
 
 def _load_labelled(path, name: str):
@@ -113,19 +104,18 @@ def _load_labelled(path, name: str):
 
 def _method_records(method, model, snapshots, ds, args):
     probs, u = baselines.score_method(
-        method,
-        model,
-        ds.features,
-        snapshots=snapshots,
-        passes=args.passes,
-        jitter_sigma=args.jitter_sigma,
-        seed=args.seed,
+        method, model, ds.features, snapshots, args.passes, args.jitter_sigma, args.seed
     )
     return from_scores(probs, u, ds.labels)
 
 
-def _auto_method(model: Model) -> str:
-    return "uios" if model.is_evidential else "entropy"
+def _scoring(model: Model, args) -> tuple[str, list[mlp.MlpParams] | None]:
+    """``--method`` (auto: uios for evidential models, else entropy) and,
+    for ensemble, the checkpoint's snapshots."""
+    method = args.method
+    if method == "auto":
+        method = "uios" if model.is_evidential else "entropy"
+    return method, _load_snapshots(args.checkpoint) if method == "ensemble" else None
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +141,7 @@ def cmd_gen_data(args) -> int:
         written[f"{tag}.csv"] = file_sha256(path)
     kinds = [k.strip() for k in str(args.ood_kinds).split(",") if k.strip()]
     for i, kind in enumerate(kinds):
-        ood = gen_ood(
-            kind,
-            n=args.ood_n,
-            centers=centers,
-            sigma=args.sigma,
-            seed=args.seed + 1000 + i,
-        )
+        ood = gen_ood(kind, args.ood_n, centers, args.sigma, seed=args.seed + 1000 + i)
         path = os.path.join(args.out_dir, f"ood_{kind}.csv")
         save_csv(ood, path)
         written[f"ood_{kind}.csv"] = file_sha256(path)
@@ -186,10 +170,7 @@ def cmd_gen_data(args) -> int:
         "seed": args.seed,
         "files": written,
     }
-    mpath = os.path.join(args.out_dir, "manifest.json")
-    with open(mpath, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(manifest, os.path.join(args.out_dir, "manifest.json"))
     print(f"wrote {len(written)} csv files + manifest to {args.out_dir}")
     return 0
 
@@ -249,8 +230,7 @@ def cmd_train(args) -> int:
 def cmd_calibrate(args) -> int:
     model, tc, fingerprint, _ = load_checkpoint(args.checkpoint)
     val_set = _load_labelled(args.val_csv, "val")
-    method = _auto_method(model) if args.method == "auto" else args.method
-    snapshots = _load_snapshots(args.checkpoint) if method == "ensemble" else None
+    method, snapshots = _scoring(model, args)
     recs = _method_records(method, model, snapshots, val_set, args)
     n_wrong = int(np.sum(recs.predicted != recs.labels))
     if n_wrong == 0:
@@ -275,8 +255,7 @@ def cmd_calibrate(args) -> int:
 def cmd_eval(args) -> int:
     model, _, _, cal = load_checkpoint(args.checkpoint)
     test_set = _load_labelled(args.test_csv, "test")
-    method = _auto_method(model) if args.method == "auto" else args.method
-    snapshots = _load_snapshots(args.checkpoint) if method == "ensemble" else None
+    method, snapshots = _scoring(model, args)
     recs = _method_records(method, model, snapshots, test_set, args)
     sections = {"unthresholded": evaluate(recs).to_dict(), "method": method}
     line = (
@@ -301,16 +280,9 @@ def cmd_eval(args) -> int:
         else:
             line += f" | thresholded @ {cal.threshold:.4f}: all referred"
     if args.report:
-        save_report(
-            args.report,
-            command="eval",
-            seed=args.seed,
-            inputs={
-                "checkpoint": file_sha256(args.checkpoint),
-                "test_csv": file_sha256(args.test_csv),
-            },
-            sections=sections,
-        )
+        paths = {"checkpoint": args.checkpoint, "test_csv": args.test_csv}
+        inputs = {k: file_sha256(p) for k, p in paths.items()}
+        save_report(args.report, "eval", args.seed, inputs, sections)
     print(line)
     return 0
 
@@ -334,8 +306,7 @@ def cmd_ood_eval(args) -> int:
         raise DataError(
             "ood-eval: checkpoint has no calibrated threshold; run `evos calibrate` first"
         )
-    method = _auto_method(model) if args.method == "auto" else args.method
-    snapshots = _load_snapshots(args.checkpoint) if method == "ensemble" else None
+    method, snapshots = _scoring(model, args)
     sections = {"method": method, "threshold": cal.threshold, "files": {}}
     inputs = {"checkpoint": file_sha256(args.checkpoint)}
     for path in args.ood_csv:
@@ -448,27 +419,12 @@ def cmd_compare(args) -> int:
             f"{r['threshold']:8.4f} {timing[m] * 1e3:10.4f}"
         )
     if args.report:
-        inputs = {
-            "val_csv": file_sha256(args.val_csv),
-            "test_csv": file_sha256(args.test_csv),
-        }
-        for p in args.ood_csv or []:
-            inputs[p] = file_sha256(p)
-        save_report(
-            args.report,
-            command="compare",
-            seed=args.seed,
-            inputs=inputs,
-            sections={"methods": rows},
-        )
-        with open(args.report + ".timing.json", "w") as fh:
-            json.dump(
-                {"ms_per_sample": {m: t * 1e3 for m, t in timing.items()}},
-                fh,
-                sort_keys=True,
-                indent=2,
-            )
-            fh.write("\n")
+        paths = {"val_csv": args.val_csv, "test_csv": args.test_csv}
+        paths.update((p, p) for p in args.ood_csv or [])
+        inputs = {k: file_sha256(p) for k, p in paths.items()}
+        save_report(args.report, "compare", args.seed, inputs, {"methods": rows})
+        timing_ms = {m: t * 1e3 for m, t in timing.items()}
+        write_json({"ms_per_sample": timing_ms}, args.report + ".timing.json")
     return 0
 
 

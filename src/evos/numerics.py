@@ -78,14 +78,16 @@ def softplus(x):
     """ln(1 + e^x) without overflow.
 
     For x > 30 the direct form overflows long before float64 does any harm,
-    so we switch to x + ln(1 + e^-x); for large negative x, log1p keeps the
-    full relative precision of e^x.
+    so that branch is x + ln(1 + e^-x); for large negative x, log1p keeps
+    the full relative precision of e^x.  Both branches run branch-free on
+    the whole array: ln(1 + e^t) with t = -x or x, then + x or + 0.0.  A
+    low-branch value is >= +0 (or NaN), so adding +0.0 leaves its bits
+    unchanged, and x + t equals t + x in IEEE arithmetic.
     """
     a, scalar = _asarray(x)
-    out = np.empty_like(a)
     high = a > 30.0
-    out[high] = a[high] + np.log1p(np.exp(-a[high]))
-    out[~high] = np.log1p(np.exp(a[~high]))
+    out = np.log1p(np.exp(np.where(high, -a, a)))
+    out += np.where(high, a, 0.0)
     return _unwrap(out, scalar)
 
 

@@ -35,11 +35,15 @@ class Predictions:
         return self.probs.shape[1]
 
     def subset(self, mask: np.ndarray) -> "Predictions":
+        """The rows where ``mask``, a boolean array of the records' length, is set."""
+        if not isinstance(mask, np.ndarray) or mask.dtype != bool or mask.shape != (len(self),):
+            raise ValueError("Predictions.subset: need a boolean mask of the records' length")
+        rows = np.flatnonzero(mask)
         return Predictions(
-            predicted=self.predicted[mask],
-            labels=self.labels[mask],
-            uncertainty=self.uncertainty[mask],
-            probs=self.probs[mask],
+            predicted=self.predicted.take(rows),
+            labels=self.labels.take(rows),
+            uncertainty=self.uncertainty.take(rows),
+            probs=self.probs.take(rows, axis=0),
         )
 
 

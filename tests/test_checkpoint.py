@@ -212,6 +212,50 @@ def test_reader_rejects_sub_objects_that_do_not_fit(case, tmp_path, trained):
         load_checkpoint(path)
 
 
+def _set(obj, keys, value):
+    for k in keys[:-1]:
+        obj = obj[k]
+    obj[keys[-1]] = value
+
+
+# each value of the wrong JSON type or outside its domain -> what the error names
+_WRONG_VALUES = {
+    "objective-bogus": (("objective",), "bogus", r"objective 'bogus'"),
+    "mlp-input_dim-string": (("mlp", "input_dim"), "2", r"mlp\.input_dim"),
+    "mlp-input_dim-bool": (("mlp", "input_dim"), True, r"mlp\.input_dim"),
+    "mlp-hidden_dims-string-entry": (("mlp", "hidden_dims"), ["32", 32], r"mlp\.hidden_dims"),
+    "mlp-dropout_rate-string": (("mlp", "dropout_rate"), "0", r"mlp\.dropout_rate"),
+    "train_config-epochs-string": (("train_config", "epochs"), "40", r"train_config\.epochs"),
+    "train_config-objective-int": (("train_config", "objective"), 2, r"train_config\.objective"),
+    "calibration-threshold-string": (
+        ("calibration", "threshold"), "0.5", r"calibration\.threshold"
+    ),
+    "calibration-tpr-string-entry": (("calibration", "tpr"), ["x"], r"calibration\.tpr"),
+    "array-without-data": (("params", "weights", 0), {"shape": [2, 32]}, r"params\.weights\[0\]"),
+    "array-negative-size": (
+        ("params", "weights", 0, "shape"), [-1, 32], r"params\.weights\[0\]"
+    ),
+    "array-data-of-wrong-length": (
+        ("params", "biases", 1, "data"), "AAAAAAAAAAA=", r"params\.biases\[1\]"
+    ),
+    "weights-not-a-list": (("params", "weights"), "AAAA", r"params: expected lists"),
+    "gate-onset-not-an-array": (("gate", "onset"), 0.5, r"gate\.onset"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_VALUES))
+def test_reader_rejects_values_that_do_not_fit_their_field(case, tmp_path, trained):
+    result, tc = trained
+    path = tmp_path / "model.json"
+    save_checkpoint(path, result.model, tc, "fp", make_calibration())
+    keys, value, match = _WRONG_VALUES[case]
+    obj = json.loads(path.read_text())
+    _set(obj, keys, value)
+    path.write_text(json.dumps(obj))
+    with pytest.raises(DataError, match=match):
+        load_checkpoint(path)
+
+
 def test_reader_rejects_non_json(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("not json {")

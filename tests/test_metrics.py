@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 
 from evos.metrics import (
     MetricReport,
-    _midranks,
     binary_auc,
     confusion_matrix,
     evaluate,
@@ -62,6 +61,49 @@ def test_confusion_rejects_out_of_range():
         confusion_matrix(np.array([3]), np.array([0]), 3)
     with pytest.raises(ValueError):
         confusion_matrix(np.array([0]), np.array([-2]), 3)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(st.integers(1, 6).flatmap(
+    lambda k: st.tuples(st.just(k), st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))))
+))
+def test_confusion_matrix_equals_add_at_tally(case):
+    k, pairs = case
+    predicted = np.array([p for p, _ in pairs], dtype=np.int64)
+    labels = np.array([t for _, t in pairs], dtype=np.int64)
+    expected = np.zeros((k, k), dtype=np.int64)
+    np.add.at(expected, (labels, predicted), 1)
+    cm = confusion_matrix(predicted, labels, k)
+    assert cm.dtype == expected.dtype and cm.shape == (k, k)
+    assert np.array_equal(cm, expected)
+
+
+# ---------------------------------------------------------------------------
+# Predictions.subset, which evaluate uses to drop referred rows
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(1, 5))
+def test_subset_equals_boolean_indexing(seed, n, k):
+    rng = np.random.default_rng(seed)
+    recs = from_scores(rng.random((n, k)), rng.random(n), rng.integers(-1, k, size=n))
+    mask = rng.random(n) < rng.random()
+    sub = recs.subset(mask)
+    for name in ("predicted", "labels", "uncertainty", "probs"):
+        got, want = getattr(sub, name), getattr(recs, name)[mask]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [[True, False, True], np.array([1, 0, 1]), np.ones(2, dtype=bool), np.ones((3, 1), dtype=bool)],
+    ids=["list", "int-array", "short", "2-d"],
+)
+def test_subset_rejects_masks_that_are_not_boolean_rows(mask):
+    recs = make_records([0, 1, 1], [0, 1, 0])
+    with pytest.raises(ValueError, match="boolean mask"):
+        recs.subset(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -160,17 +202,54 @@ def test_binary_auc_matches_pair_counting_oracle():
         )
 
 
+def _rank_sum_auc(ranks, positives):
+    """The rank-sum AUC formula over 1-based midranks of all scores."""
+    n_pos = int(positives.sum())
+    n_neg = len(positives) - n_pos
+    return float((ranks[positives].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
 @pytest.mark.parametrize("decimals", [None, 2, 0])
 def test_midranks_match_scipy_rankdata(decimals):
+    """binary_auc equals, bit for bit, the rank-sum formula over scipy's
+    midranks, untied, lightly and heavily tied."""
     from scipy.stats import rankdata
 
     rng = np.random.default_rng(23)
-    for n in (1, 2, 7, 100, 5000):
+    for n in (2, 7, 100, 5000):
         x = rng.normal(scale=3.0, size=n)
         if decimals is not None:
             x = np.round(x, decimals)  # ties: few at 2 decimals, heavy at 0
-        assert np.array_equal(_midranks(x), rankdata(x, method="average"))
-    assert np.array_equal(_midranks(np.full(9, 0.25)), np.full(9, 5.0))
+        positives = rng.random(n) < 0.4
+        positives[0], positives[-1] = True, False
+        assert binary_auc(x, positives) == _rank_sum_auc(rankdata(x, method="average"), positives)
+    x, positives = np.full(9, 0.25), np.arange(9) < 4
+    assert binary_auc(x, positives) == _rank_sum_auc(rankdata(x, method="average"), positives)
+    assert binary_auc(x, positives) == 0.5
+
+
+def _midrank_auc(scores, positives):
+    """binary_auc as np.unique midranks computed it: NaNs form one top tie
+    group, and -0.0 ties with +0.0."""
+    scores = np.asarray(scores, dtype=np.float64)
+    positives = np.asarray(positives, dtype=bool)
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return _rank_sum_auc(((ends - counts + ends + 1) / 2)[inverse], positives)
+
+
+_TIED_SCORES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, np.nan, np.inf, -np.inf, 5e-324])
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(st.lists(st.tuples(_TIED_SCORES | st.floats(), st.booleans()), min_size=2, max_size=80))
+def test_binary_auc_bits_equal_midrank_formula(rows):
+    scores = np.array([s for s, _ in rows])
+    positives = np.array([p for _, p in rows])
+    if positives.all() or not positives.any():
+        positives[0] = not positives[0]
+    got = binary_auc(scores, positives)
+    assert np.float64(got).tobytes() == np.float64(_midrank_auc(scores, positives)).tobytes()
 
 
 @settings(deadline=None, max_examples=100)

@@ -65,6 +65,31 @@ def test_softplus_dominates_relu(x):
         assert softplus(x) > max(0.0, x)
 
 
+def _masked_softplus(x):
+    """softplus as two boolean-mask branches, one gather and scatter each."""
+    a = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(a)
+    high = a > 30.0
+    out[high] = a[high] + np.log1p(np.exp(-a[high]))
+    out[~high] = np.log1p(np.exp(a[~high]))
+    return float(out) if a.ndim == 0 else out
+
+
+_SOFTPLUS_EDGES = st.sampled_from(
+    [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308,
+     30.0, np.nextafter(30.0, 0.0), np.nextafter(30.0, 31.0), -30.0, 29.5, 30.5]
+)
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(st.lists(_SOFTPLUS_EDGES | st.floats(-40.0, 40.0) | st.floats(), max_size=40))
+def test_softplus_bits_equal_masked_branches(values):
+    xs = np.array(values, dtype=np.float64)
+    assert softplus(xs).tobytes() == _masked_softplus(xs).tobytes()
+    for x in values:
+        assert np.float64(softplus(x)).tobytes() == np.float64(_masked_softplus(x)).tobytes()
+
+
 def test_softplus_vector_matches_scalar():
     xs = np.array([-5.0, -0.5, 0.0, 0.5, 40.0])
     assert_allclose(softplus(xs), [softplus(float(x)) for x in xs], rtol=0, atol=0)
