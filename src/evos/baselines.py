@@ -59,8 +59,9 @@ def mc_dropout_score(
 
     Requires a model trained with dropout_rate > 0; with rate 0 the passes
     would be identical, so this degenerates to the entropy method (with a
-    warning).  Pass t draws its masks as ``mlp.make_dropout_masks`` would on
-    all rows after t earlier passes, but only one row block's at a time.
+    warning).  Pass t takes its masks from ``mlp.dropout_mask_rows``: the
+    16-bit words of the seeded stream that a draw on all rows would give
+    that pass, drawn one row block's at a time.
     """
     if passes < 1:
         raise ValueError("mc_dropout_score: passes >= 1 required")

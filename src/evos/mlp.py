@@ -6,10 +6,11 @@ the evidential head turns into evidence.  No autograd framework is used;
 ``backward`` implements the chain rule explicitly and ``finite_diff_check``
 validates it against central differences.
 
-Dropout is the inverted kind (mask / (1 - rate)) and is only applied when
-the caller passes masks, so plain forward passes are deterministic.  The
-Monte Carlo dropout baseline supplies fresh masks per pass, drawn one row
-block at a time by ``dropout_mask_rows``.
+Dropout is the inverted kind (kept units are scaled so that a mask's
+expected value is 1) and is only applied when the caller passes masks, so
+plain forward passes are deterministic.  The Monte Carlo dropout baseline
+supplies fresh masks per pass, drawn one row block at a time by
+``dropout_mask_rows`` from 16-bit words of its stream.
 
 Scoring (``infer``) runs in blocks of ``BLOCK_ROWS`` rows, so that a block's
 layers and the caller's row-wise head stay in L2 cache and the intermediates
@@ -114,34 +115,40 @@ def make_dropout_masks(
     """Pre-scaled inverted-dropout masks, one per hidden layer."""
     if cfg.dropout_rate <= 0.0:
         raise ValueError("make_dropout_masks: dropout_rate is 0")
-    return [_scaled_mask(rng.random((batch_size, h)), cfg.dropout_rate) for h in cfg.hidden_dims]
-
-
-def _scaled_mask(uniforms: np.ndarray, rate: float) -> np.ndarray:
-    return (uniforms >= rate).astype(np.float64) / (1.0 - rate)
+    rate = cfg.dropout_rate
+    return [(rng.random((batch_size, h)) >= rate).astype(np.float64) / (1.0 - rate)
+            for h in cfg.hidden_dims]
 
 
 def dropout_mask_rows(cfg: MlpConfig, n: int, rows: slice, seed: int, passes: int):
-    """Yield rows ``rows`` of ``passes`` successive ``make_dropout_masks(cfg,
-    n, rng)`` calls, one pass at a time and bit for bit, where ``rng`` is
-    ``np.random.default_rng(seed)``.
-
-    Only these rows are drawn.  ``Generator.random`` takes one 64-bit PCG64
-    output per float64, so advancing the seeded bit generator past the draws
-    that come before a block's rows yields that block's uniforms.
+    """Yield rows ``rows`` of ``passes`` passes' scaled dropout masks on ``n``
+    rows, one list of hidden-layer masks per pass.  The keep decisions are
+    the 16-bit words of ``np.random.PCG64(seed).random_raw``, four per output
+    in little-endian order, pass by pass, layer by layer, rows in row-major
+    order.  A unit is dropped when its word is below cut = round(rate *
+    2**16); kept units are scaled by 2**16 / (2**16 - cut), so E[mask] = 1.
+    Only these rows are drawn: the generator is advanced past the outputs
+    before them, so a block's masks are those rows of a draw on all rows.
     """
-    if cfg.dropout_rate <= 0.0:
-        raise ValueError("dropout_mask_rows: dropout_rate is 0")
+    cut = round(cfg.dropout_rate * 2**16)
+    if not 0 < cut < 2**16:
+        raise ValueError(f"dropout_mask_rows: dropout_rate {cfg.dropout_rate} "
+                         "drops no unit or every unit at 16-bit resolution")
     start, stop, _ = rows.indices(n)
     bits = np.random.PCG64(seed)
-    rng = np.random.Generator(bits)
-    here = skip = 0  # stream position, and where the current layer's draws start
+    here = skip = 0  # stream position in outputs, and the word where the current layer starts
     for _ in range(passes):
         masks = []
         for h in cfg.hidden_dims:
-            bits.advance(skip + start * h - here)
-            masks.append(_scaled_mask(rng.random((stop - start, h)), cfg.dropout_rate))
-            here, skip = skip + stop * h, skip + n * h
+            first, last = skip + start * h, skip + stop * h  # words
+            lo, hi = first // 4, -(-last // 4)  # the outputs that hold them
+            # modulo the period 2**128: a step of -1 re-reads an output two layers share
+            bits.advance((lo - here) % 2**128)
+            words = bits.random_raw(hi - lo).astype("<u8", copy=False).view("<u2")
+            mask = (words[first % 4 :][: last - first] >= cut).astype(np.float64)
+            mask *= 2**16 / (2**16 - cut)
+            masks.append(mask.reshape(stop - start, h))
+            here, skip = hi, skip + n * h
         yield masks
 
 

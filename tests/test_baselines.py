@@ -23,6 +23,7 @@ from evos.head import EvidenceGate
 from evos.mlp import BLOCK_ROWS, MlpConfig
 from evos.numerics import softplus
 from evos.training import Model, TrainConfig, evidential_alpha, predict_records, train
+from test_mlp import scoring_masks
 
 LN2 = np.log(2.0)
 
@@ -326,9 +327,10 @@ def test_every_method_uncertainty_in_unit_interval(
 def _score_whole(method, model, x, snapshots=None, seed=0):
     """Every scorer done on all rows at once, as before scoring ran in row
     blocks: ``forward``'s full (n, width) arrays, then softplus, the gate or
-    softmax on the whole (n, K) logits, with the same RNG draws.  The heads
-    are plain-numpy copies of the formulas (``np.max``/``np.sum`` over the
-    class axis), independent of evos's column-loop reductions."""
+    softmax on the whole (n, K) logits, with the same RNG draws (``mc_drop``'s
+    masks from one plain-numpy draw of its word stream).  The heads are
+    plain-numpy copies of the formulas (``np.max``/``np.sum`` over the class
+    axis), independent of evos's column-loop reductions."""
 
     def probs(params, xx, masks=None):
         z = mlp.forward(params, xx, masks)[0]
@@ -356,8 +358,7 @@ def _score_whole(method, model, x, snapshots=None, seed=0):
         return p, normalized_entropy(p)
     rng = np.random.default_rng(seed)
     if method == "mc_drop":
-        passes = [mlp.make_dropout_masks(model.config, len(x), rng)
-                  for _ in range(baselines.DEFAULT_PASSES)]
+        passes = scoring_masks(model.config, len(x), seed, baselines.DEFAULT_PASSES)
         mean = sum(probs(model.params, x, m) for m in passes) / len(passes)
         return mean, normalized_entropy(mean)
     if method == "ensemble":

@@ -1,6 +1,7 @@
 """End-to-end command-line flows on a small generated benchmark:
 exit codes, artifact layout, config precedence, and report determinism."""
 
+import dataclasses
 import json
 import shutil
 import threading
@@ -733,3 +734,22 @@ def test_non_finite_standard_logits_are_a_numeric_failure(cmp_dir, data_dir, tmp
     assert capsys.readouterr().err == "numeric failure: non-finite logits\n"
     assert run_compare(broken, data_dir) == 4
     assert capsys.readouterr().err == "numeric failure: non-finite logits\n"
+
+
+@pytest.mark.parametrize("rate", [2**-18, 1.0 - 2**-17])
+def test_mc_drop_rate_the_16_bit_cut_cannot_hold_is_data_error(
+    rate, cmp_dir, data_dir, tmp_path, capsys
+):
+    # a rate that rounds to a cut of 0 or 2**16 would drop no unit, or every
+    # unit with an infinite scale
+    edge = tmp_path / "cmp"
+    shutil.copytree(cmp_dir, edge)
+    model, tc, fingerprint, _ = load_checkpoint(edge / "mcdrop.json")
+    model.config = dataclasses.replace(model.config, dropout_rate=rate)
+    save_checkpoint(edge / "mcdrop.json", model, tc, fingerprint)
+    rc = run("eval", "--checkpoint", str(edge / "mcdrop.json"),
+             "--test-csv", str(data_dir / "test.csv"), "--method", "mc_drop")
+    assert rc == 3
+    assert f"dropout_rate {rate}" in capsys.readouterr().err
+    assert run_compare(edge, data_dir) == 3
+    assert f"dropout_rate {rate}" in capsys.readouterr().err

@@ -261,13 +261,27 @@ def test_dropout_requires_positive_rate():
         next(dropout_mask_rows(small_config(), 4, slice(0, 4), seed=0, passes=1))
 
 
+def scoring_masks(cfg, n, seed, passes):
+    """``passes`` passes' masks on all ``n`` rows, from one plain-numpy draw:
+    the 16-bit little-endian words of PCG64(seed)'s raw outputs, pass by
+    pass, layer by layer, row-major; a word below round(rate * 2**16) drops
+    its unit."""
+    sizes = [n * h for h in cfg.hidden_dims] * passes
+    total = sum(sizes)
+    words = np.random.PCG64(seed).random_raw(-(-total // 4)).astype("<u8").view("<u2")
+    cut = round(cfg.dropout_rate * 2**16)
+    keep = np.split(words[:total] >= cut, np.cumsum(sizes)[:-1])
+    masks = [k.reshape(n, h) * (2**16 / (2**16 - cut)) for k, h in zip(keep, cfg.hidden_dims * passes)]
+    layers = len(cfg.hidden_dims)
+    return [masks[i : i + layers] for i in range(0, len(masks), layers)]
+
+
 @pytest.mark.parametrize("n", [1, 2, B, B + 1, 2 * B + 13])
 def test_dropout_mask_rows_are_the_whole_batch_masks(n):
     # each block's masks, drawn alone from an advanced copy of the seeded
     # stream, equal those rows of three successive whole-batch draws
     cfg = MlpConfig(input_dim=2, output_dim=5, hidden_dims=(32, 7), dropout_rate=0.25)
-    rng = np.random.default_rng(17)
-    whole = [make_dropout_masks(cfg, n, rng) for _ in range(3)]
+    whole = scoring_masks(cfg, n, seed=17, passes=3)
     for rows in row_blocks(n):
         got = list(dropout_mask_rows(cfg, n, rows, seed=17, passes=3))
         assert len(got) == len(whole)
@@ -275,6 +289,69 @@ def test_dropout_mask_rows_are_the_whole_batch_masks(n):
             assert len(got_pass) == len(whole_pass)
             for g, w in zip(got_pass, whole_pass):
                 assert g.tobytes() == w[rows].tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, B + 3, 2 * B + 13])
+@pytest.mark.parametrize("rows", ["all", "blocks"])
+def test_dropout_mask_rows_where_a_layer_ends_inside_an_output(n, rows):
+    # with widths 32 and 7 and odd n, layer and pass boundaries fall inside a
+    # 64-bit output, which then holds words of two layers
+    cfg = MlpConfig(input_dim=2, output_dim=5, hidden_dims=(32, 7), dropout_rate=0.25)
+    assert (n * 7) % 4 and (n * 32 + n * 7) % 4
+    whole = scoring_masks(cfg, n, seed=3, passes=4)
+    for block in [slice(0, n)] if rows == "all" else row_blocks(n):
+        got = list(dropout_mask_rows(cfg, n, block, seed=3, passes=4))
+        assert [[g.tobytes() for g in p] for p in got] == [
+            [w[block].tobytes() for w in p] for p in whole
+        ]
+
+
+def test_dropout_mask_rows_word_order_is_pinned():
+    # the first words of PCG64(0), little-endian within each output: a unit
+    # is kept when its word is at least 2**15 at rate 0.5
+    first_words = [33375, 55746, 60367, 41743, 55073, 33497, 48632, 17680,
+                   59576, 20173, 15785, 2685]
+    cfg = small_config(hidden_dims=(12,), dropout_rate=0.5)
+    (mask,) = next(dropout_mask_rows(cfg, 1, slice(0, 1), seed=0, passes=1))
+    assert mask.tolist() == [[2.0 if w >= 2**15 else 0.0 for w in first_words]]
+    assert np.random.PCG64(0).random_raw(3).astype("<u8").view("<u2").tolist() == first_words
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.25, 0.5])
+def test_dropout_mask_rows_drop_share_and_mean(rate):
+    # over 10 passes of 2B x 32 units the drop share is binomial around
+    # cut / 2**16, and the mean mask around 1 (exactly 1 in expectation)
+    cfg = small_config(hidden_dims=(32,), dropout_rate=rate)
+    n, passes = 2 * B, 10
+    masks = np.stack([m for (m,) in dropout_mask_rows(cfg, n, slice(0, n), seed=5, passes=passes)])
+    p = round(rate * 2**16) / 2**16
+    assert abs(p - rate) <= 2**-17
+    sd = np.sqrt(p * (1.0 - p) / masks.size)
+    assert abs(np.mean(masks == 0.0) - p) < 5.0 * sd
+    scale = 1.0 / (1.0 - p)
+    assert set(np.unique(masks)) == {0.0, scale}
+    assert abs(np.mean(masks) - 1.0) < 5.0 * sd * scale
+    if rate == 0.25:
+        assert scale == 1.0 / (1.0 - rate)  # bit-equal to the training masks' scale
+
+
+@pytest.mark.parametrize(
+    "rate", [2**-18, np.nextafter(2**-17, 0.0), 2**-17, 1.0 - 2**-17, np.nextafter(1.0, 0.0)]
+)
+def test_dropout_mask_rows_rejects_rates_the_16_bit_cut_cannot_hold(rate):
+    # up to 2**-17 the cut rounds (half to even) to 0 and nothing is
+    # dropped; from 1 - 2**-17 on it rounds to 2**16, every unit is dropped
+    # and the scale is infinite
+    cfg = small_config(dropout_rate=rate)
+    with pytest.raises(ValueError, match=f"dropout_rate {rate}"):
+        next(dropout_mask_rows(cfg, 4, slice(0, 4), seed=0, passes=1))
+
+
+@pytest.mark.parametrize("rate", [1.5 * 2**-17, 1.0 - 2**-16])
+def test_dropout_mask_rows_accepts_the_rates_next_to_the_edges(rate):
+    cfg = small_config(hidden_dims=(4,), dropout_rate=rate)
+    (mask,) = next(dropout_mask_rows(cfg, 4, slice(0, 4), seed=0, passes=1))
+    assert np.all(np.isfinite(mask)) and mask.shape == (4, 4)
 
 
 def test_forward_ignores_dropout_without_masks():
