@@ -2,8 +2,7 @@
 
 All losses are written directly in alpha-space.  ``alpha`` is a (n, K) or
 (K,) float64 array with entries >= 1; ``y`` is a one-hot array of the same
-shape.  Per-sample losses are returned (no mean reduction); ``objective``
-averages over the batch and carries the gradient back to the logits.
+shape.  Per-sample losses are returned (no mean reduction).
 
 The three trainable objectives are
 
@@ -12,22 +11,35 @@ The three trainable objectives are
                   annealed KL regularizer toward the uniform Dirichlet,
     tun         : ``un`` plus a temperature-scaled belief cross-entropy.
 
-Each loss kind is a sum of terms (``_KINDS``) that return value and
-alpha-gradient together and share one psi/psi' pass over [alpha | S | sum
-alpha_hat] and one log-gamma pass over [alpha_hat | sum alpha_hat].  The KL
-term sees alpha_hat, alpha with the true class reset to 1, so only
-misleading (off-class) evidence is penalized.
+Each loss kind is a sum of terms (``_KINDS``), and each term is a value
+formula and its alpha-gradient, written side by side below.  With S = sum
+alpha, c the true class, alpha_hat = alpha with alpha_c reset to 1,
+T = sum alpha_hat and e = alpha - 1:
+
+    term  value                              d value / d alpha
+    ce    -ln(alpha_c / S)                   1/S - y/alpha
+    unce  psi(S) - psi(alpha_c)              psi'(S) - y psi'(alpha)
+    kl    KL(Dir(alpha_hat) || Dir(1,..,1))  (1-y) ((alpha_hat-1) psi'(alpha) - (T-K) psi'(T))
+    tce   -ln(e_c / (S tau))                 -(S - e_c) / (e_c S) on c, 1/S off it
+
+The KL term penalizes only misleading (off-class) evidence.  The two
+columns are computed apart, because training needs them at different
+rates.  The gradient path (``logit_grad``) runs every step and calls one
+psi' kernel on [alpha | S | T].  The value path (``logit_losses``) feeds
+the logged epoch loss; it calls one psi kernel on the same columns and one
+log-gamma kernel on [alpha_hat | T].
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import _log_gamma, _psi_trigamma, log_gamma, sigmoid, softmax, softplus
+from .numerics import _digamma, _log_gamma, _trigamma, log_gamma, sigmoid, softmax, softplus
 
 PROB_FLOOR = 1e-12  # clamp for logs of probabilities / beliefs
 
@@ -76,7 +88,7 @@ def _check_temperature(temperature: float):
 
 def per_sample_loss(kind: str, alpha, y, schedule: Schedule):
     """Per-sample loss of ``kind``, one of LOSS_KINDS."""
-    return _checked_loss_and_grad(kind, alpha, y, schedule)[0]
+    return _alpha_loss(kind, *_checked(kind, alpha, y, schedule), schedule)
 
 
 def loss_grad_alpha(kind: str, alpha, y, schedule: Schedule):
@@ -85,11 +97,12 @@ def loss_grad_alpha(kind: str, alpha, y, schedule: Schedule):
     Matches the corresponding ``per_sample_loss`` entry exactly (same
     clamping), so central finite differences agree away from clamp edges.
     """
-    return _checked_loss_and_grad(kind, alpha, y, schedule)[1]
+    return _alpha_loss(kind, *_checked(kind, alpha, y, schedule), schedule, grad=True)
 
 
-def objective(kind: str, logits, y, schedule: Schedule):
-    """Mean loss over the batch and its gradient w.r.t. the logits.
+def logit_grad(kind: str, logits, y, schedule: Schedule):
+    """Gradient of the batch-mean loss w.r.t. the logits: a training step's
+    only loss work.
 
     ``kind`` is ``standard_ce`` (cross-entropy on softmax(logits)) or one of
     LOSS_KINDS on alpha = softplus(logits) + 1.  Inputs are not checked: the
@@ -97,16 +110,21 @@ def objective(kind: str, logits, y, schedule: Schedule):
     """
     n = len(logits)
     if kind == "standard_ce":
-        probs = softmax(logits)
-        return float(np.mean(_ce_value(probs, y))), (probs - y) / n
-    alpha = softplus(logits) + 1.0
-    per, grad_alpha = _loss_and_grad(kind, alpha, y, schedule)
-    return float(np.mean(per)), grad_alpha * sigmoid(logits) / n
+        return (softmax(logits) - y) / n
+    return _alpha_loss(kind, softplus(logits) + 1.0, y, schedule, grad=True) * sigmoid(logits) / n
+
+
+def logit_losses(kind: str, logits, y, schedule: Schedule):
+    """Per-sample loss of each row of logits, the objective whose batch mean
+    ``logit_grad`` differentiates.  Unchecked, like ``logit_grad``."""
+    if kind == "standard_ce":
+        return _ce_value(softmax(logits), y)
+    return _alpha_loss(kind, softplus(logits) + 1.0, y, schedule)
 
 
 # ---------------------------------------------------------------------------
 # Each formula appears once below.  A term takes the shared batch quantities
-# and returns (per-sample value, d value/d alpha).
+# and returns its per-sample value, or with ``grad`` its d value/d alpha.
 
 
 class _Shared(NamedTuple):
@@ -115,10 +133,10 @@ class _Shared(NamedTuple):
     s: np.ndarray  # S = sum alpha, (..., 1)
     a_hat: np.ndarray  # alpha with the true class reset to 1
     total: np.ndarray  # sum alpha_hat, (..., 1)
-    psi: np.ndarray  # psi and psi' of [alpha | S | total], columns _A, _S, _T
-    tri: np.ndarray
-    lg: np.ndarray  # ln Gamma of [alpha_hat | total]
     schedule: Schedule
+    psi: np.ndarray | None = None  # psi of [alpha | S | total] (_A, _S, _T), value path
+    tri: np.ndarray | None = None  # psi' of the same, gradient path
+    lg: np.ndarray | None = None  # ln Gamma of [alpha_hat | total], value path
 
 
 _A, _S, _T = np.s_[..., :-2], np.s_[..., -2:-1], np.s_[..., -1:]
@@ -141,44 +159,48 @@ def _log_gamma_of(k: int) -> float:
     return log_gamma(float(k))
 
 
-def _ce(b: _Shared):
+def _ce(b: _Shared, grad: bool):
+    if not grad:
+        return _ce_value(b.a / b.s, b.y)
     # L = ln S - sum_k y_k ln alpha_k ; flat (zero) where the clamp is active
     clamped = np.sum(b.y * b.a, axis=-1, keepdims=True) / b.s < PROB_FLOOR
-    return _ce_value(b.a / b.s, b.y), np.where(clamped, 0.0, 1.0 / b.s - b.y / b.a)
+    return np.where(clamped, 0.0, 1.0 / b.s - b.y / b.a)
 
 
-def _unce(b: _Shared):
-    return np.sum(b.y * (b.psi[_S] - b.psi[_A]), axis=-1), b.tri[_S] - b.y * b.tri[_A]
+def _unce(b: _Shared, grad: bool):
+    if grad:
+        return b.tri[_S] - b.y * b.tri[_A]
+    return np.sum(b.y * (b.psi[_S] - b.psi[_A]), axis=-1)
 
 
-def _kl(b: _Shared):
+def _kl(b: _Shared, grad: bool):
     # psi(alpha) and psi'(alpha) stand in for psi(alpha_hat) and
     # psi'(alpha_hat): they agree off the true class, and on it both are
     # multiplied by alpha_hat - 1 = 0
     k, excess = b.a.shape[-1], b.a_hat - 1.0
-    value = (
+    if grad:
+        return (1.0 - b.y) * (excess * b.tri[_A] - (b.total - k) * b.tri[_T])
+    return (
         b.lg[..., -1]
         - _log_gamma_of(k)
         - np.sum(b.lg[..., :-1], axis=-1)
         + np.sum(excess * (b.psi[_A] - b.psi[_T]), axis=-1)
     )
-    inner = excess * b.tri[_A] - (b.total - k) * b.tri[_T]
-    return value, (1.0 - b.y) * inner
 
 
-def _annealed_kl(b: _Shared):
-    value, grad = _kl(b)
-    return b.schedule.kl_weight * value, b.schedule.kl_weight * grad
+def _annealed_kl(b: _Shared, grad: bool):
+    return b.schedule.kl_weight * _kl(b, grad)
 
 
-def _tce(b: _Shared):
+def _tce(b: _Shared, grad: bool):
     evid, y, s = b.a - 1.0, b.y, b.s
+    if not grad:
+        return _tce_value(evid / s, y, b.schedule.temperature)
     evid_true = np.sum(y * evid, axis=-1, keepdims=True)  # alpha_c - 1
     with np.errstate(divide="ignore", invalid="ignore"):
         on = -(s - evid_true) / (evid_true * s)
-    grad = np.where(y == 1.0, on, 1.0 / s)
-    value = _tce_value(evid / s, y, b.schedule.temperature)
-    return value, np.where(evid_true / s < PROB_FLOOR, 0.0, grad)
+    g = np.where(y == 1.0, on, 1.0 / s)
+    return np.where(evid_true / s < PROB_FLOOR, 0.0, g)
 
 
 # kind -> the terms it sums, in this order
@@ -193,27 +215,25 @@ _KINDS = {
 LOSS_KINDS = tuple(_KINDS)
 
 
-def _loss_and_grad(kind: str, a, y, schedule: Schedule):
-    """Per-sample loss of ``kind`` and its alpha-gradient; inputs unchecked
-    (alpha > 0).  One psi/psi' and one log-gamma kernel call serve all terms.
-    """
+def _alpha_loss(kind: str, a, y, schedule: Schedule, grad: bool = False):
+    """Per-sample loss of ``kind``, or with ``grad`` its alpha-gradient; inputs
+    unchecked (alpha > 0).  One psi and one log-gamma kernel call serve all
+    value terms, and one psi' kernel call all gradient terms."""
     terms = _KINDS.get(kind)
     if terms is None:
         raise ValueError(f"unknown loss kind {kind!r}")
-    s = a.sum(axis=-1, keepdims=True)
     a_hat = _adjust(a, y)
-    total = a_hat.sum(axis=-1, keepdims=True)
-    psi, tri = _psi_trigamma(np.concatenate([a, s, total], axis=-1))
-    lg = _log_gamma(np.concatenate([a_hat, total], axis=-1))
-    shared = _Shared(a, y, s, a_hat, total, psi, tri, lg, schedule)
-    loss, grad = terms[0](shared)
-    for term in terms[1:]:
-        value, g = term(shared)
-        loss, grad = loss + value, grad + g
-    return loss, grad
+    s, total = a.sum(axis=-1, keepdims=True), a_hat.sum(axis=-1, keepdims=True)
+    b = _Shared(a, y, s, a_hat, total, schedule)
+    stacked = np.concatenate([a, s, total], axis=-1)
+    if grad:
+        b = b._replace(tri=_trigamma(stacked))
+    else:
+        b = b._replace(psi=_digamma(stacked), lg=_log_gamma(np.concatenate([a_hat, total], -1)))
+    return reduce(operator.add, (term(b, grad) for term in terms))
 
 
-def _checked_loss_and_grad(kind: str, alpha, y, schedule: Schedule):
+def _checked(kind: str, alpha, y, schedule: Schedule):
     a = np.asarray(alpha, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     _check_pair(a, y)
@@ -221,4 +241,4 @@ def _checked_loss_and_grad(kind: str, alpha, y, schedule: Schedule):
         raise ValueError("alpha must be > 0")
     if _tce in _KINDS.get(kind, ()):
         _check_temperature(schedule.temperature)
-    return _loss_and_grad(kind, a, y, schedule)
+    return a, y

@@ -2,9 +2,8 @@
 
 This replaces a large pretrained feature extractor for the synthetic
 benchmarks: the last linear layer produces one raw output per class, which
-the evidential head turns into evidence.  No autograd framework is used;
-``backward`` implements the chain rule explicitly and ``finite_diff_check``
-validates it against central differences.
+the evidential head turns into evidence.  No autograd framework is used:
+``backward`` implements the chain rule explicitly.
 
 Dropout is the inverted kind (kept units are scaled so that a mask's
 expected value is 1) and is only applied when the caller passes masks, so
@@ -260,37 +259,3 @@ def check_finite(grads: MlpParams):
     if not np.all(np.isfinite(grads.flat)):
         raise NumericError("non-finite gradient")
 
-
-def finite_diff_check(
-    params: MlpParams,
-    batch: np.ndarray,
-    loss_fn,
-    h: float = 1e-5,
-) -> float:
-    """Max relative error between backprop and central finite differences.
-
-    ``loss_fn(outputs) -> (loss, dloss_doutputs)`` must be deterministic.
-    The relative error per parameter is
-    |analytic - numeric| / (|numeric| + 1e-8).
-    """
-    out, trace = forward(params, batch)
-    _, grad_out = loss_fn(out)
-    analytic = backward(trace, params, grad_out)
-
-    def loss_at(p: MlpParams) -> float:
-        o, _ = forward(p, batch)
-        val, _ = loss_fn(o)
-        return float(val)
-
-    worst = 0.0
-    work = params.copy()
-    for j, g in enumerate(analytic.flat):
-        orig = work.flat[j]
-        work.flat[j] = orig + h
-        up = loss_at(work)
-        work.flat[j] = orig - h
-        down = loss_at(work)
-        work.flat[j] = orig
-        numeric = (up - down) / (2.0 * h)
-        worst = max(worst, abs(g - numeric) / (abs(numeric) + 1e-8))
-    return worst

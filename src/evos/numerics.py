@@ -7,13 +7,15 @@ independent references:
 
 * ``log_gamma`` uses the Lanczos approximation (g=7, 9 coefficients) with
   the reflection formula below 0.5.
-* ``digamma`` and ``trigamma`` share one recurrence, psi(x) = psi(x+1) - 1/x
-  and psi'(x) = psi'(x+1) + 1/x^2, that lifts every entry above 6 for the
+* ``digamma`` and ``trigamma`` run the recurrences psi(x) = psi(x+1) - 1/x
+  and psi'(x) = psi'(x+1) + 1/x^2, which lift every entry above 6 for the
   asymptotic (Bernoulli) series.
 
 The public functions validate their argument (finite, > 0), then call the
-unchecked kernels ``_log_gamma`` and ``_psi_trigamma``.  The training loss
-calls the kernels directly, once per step each, on stacked arrays.
+unchecked kernels ``_log_gamma``, ``_digamma`` and ``_trigamma``.  The
+training loss calls them on stacked arrays: ``_trigamma`` once per step for
+the gradient, ``_digamma`` and ``_log_gamma`` once per epoch chunk for the
+logged loss value.
 
 Reductions over the class axis (always the last one) go through
 ``_row_max`` and ``_row_sum``, which loop over the K columns.  For a few
@@ -135,26 +137,39 @@ def log_gamma(x):
     return _unwrap(_log_gamma(a), scalar)
 
 
-def _psi_trigamma(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _digamma(x: np.ndarray) -> np.ndarray:
     # Unchecked: x must be finite and > 0.  The 0/1 step mask leaves entries
-    # already >= 6 bit-for-bit unchanged (y - 0/a == y, a + 0 == a).
+    # already >= 6 bit for bit (y - 0/a == y, a + 0 == a), whatever the rest.
     a = np.array(x, dtype=np.float64)
-    psi, tri = np.zeros_like(a), np.zeros_like(a)
+    psi = np.zeros_like(a)
     low = a < 6.0
     while low.any():
         step = low.astype(np.float64)
         psi -= step / a
+        a += step
+        low = a < 6.0
+    i2 = 1.0 / (a * a)
+    h = _PSI_SERIES[0]
+    for c in _PSI_SERIES[1:]:
+        h = c - i2 * h
+    return psi + np.log(a) - 0.5 / a - i2 * h
+
+
+def _trigamma(x: np.ndarray) -> np.ndarray:
+    # Unchecked, and entry by entry like ``_digamma``.
+    a = np.array(x, dtype=np.float64)
+    tri = np.zeros_like(a)
+    low = a < 6.0
+    while low.any():
+        step = low.astype(np.float64)
         tri += step / (a * a)
         a += step
         low = a < 6.0
     i2 = 1.0 / (a * a)
-    h_psi, h_tri = _PSI_SERIES[0], _TRI_SERIES[0]
-    for c_psi, c_tri in zip(_PSI_SERIES[1:], _TRI_SERIES[1:]):
-        h_psi = c_psi - i2 * h_psi
-        h_tri = c_tri - i2 * h_tri
-    psi = psi + np.log(a) - 0.5 / a - i2 * h_psi
-    tri = tri + 1.0 / a + 0.5 * i2 + i2 / a * h_tri
-    return psi, tri
+    h = _TRI_SERIES[0]
+    for c in _TRI_SERIES[1:]:
+        h = c - i2 * h
+    return tri + 1.0 / a + 0.5 * i2 + i2 / a * h
 
 
 def digamma(x):
@@ -162,7 +177,7 @@ def digamma(x):
     a, scalar = _asarray(x)
     if np.any(a <= 0.0) or not np.all(np.isfinite(a)):
         raise ValueError("digamma: argument must be finite and > 0")
-    return _unwrap(_psi_trigamma(a)[0], scalar)
+    return _unwrap(_digamma(a), scalar)
 
 
 def trigamma(x):
@@ -170,7 +185,7 @@ def trigamma(x):
     a, scalar = _asarray(x)
     if np.any(a <= 0.0) or not np.all(np.isfinite(a)):
         raise ValueError("trigamma: argument must be finite and > 0")
-    return _unwrap(_psi_trigamma(a)[1], scalar)
+    return _unwrap(_trigamma(a), scalar)
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:

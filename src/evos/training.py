@@ -6,6 +6,10 @@ Objectives:
     un           evidential cross-entropy + annealed KL regularizer
     tun          un + temperature-scaled belief cross-entropy
 
+Each step computes only the loss gradient (``losses.logit_grad``).  The
+logged loss comes from one pass over the epoch's step logits at its end
+(``_epoch_loss``), which is also where a non-finite loss raises.
+
 Determinism: everything is seeded (parameter init from MlpConfig.seed,
 shuffling from TrainConfig.seed and the epoch index); two runs with the
 same configs and data produce identical parameters.
@@ -150,11 +154,11 @@ def train(
         model=Model(config=net, params=params, objective=cfg.objective)
     )
     n = len(train_set)
+    epoch_logits = np.empty((n, net.output_dim))  # row i: sample order[i] at its step
     for epoch in range(cfg.epochs):
         schedule = losses.Schedule.for_epoch(epoch, cfg.anneal_epochs)
         rng = np.random.default_rng((cfg.seed, epoch))
         order = rng.permutation(n)
-        epoch_losses = []
         for start in range(0, n, cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
             xb, yb = train_set.features[sel], y_all[sel]
@@ -166,17 +170,18 @@ def train(
             logits, trace = mlp.forward(params, xb, dropout_masks=masks)
             if not np.all(np.isfinite(logits)):
                 raise NumericError(f"training diverged at epoch {epoch}: non-finite logits")
-            loss, grad_out = losses.objective(cfg.objective, logits, yb, schedule)
-            if not np.isfinite(loss):
-                raise NumericError(f"training diverged at epoch {epoch}: loss={loss}")
+            grad_out = losses.logit_grad(cfg.objective, logits, yb, schedule)
             grads = mlp.backward(trace, params, grad_out)
             params, state = adam_step(
                 params, grads, state, cfg.learning_rate, cfg.weight_decay
             )
-            epoch_losses.append(loss)
+            epoch_logits[start : start + len(sel)] = logits
+        loss = _epoch_loss(cfg, schedule, epoch_logits, y_all, order)
+        if not np.isfinite(loss):
+            raise NumericError(f"training diverged at epoch {epoch}: loss={loss}")
         record = {
             "epoch": epoch,
-            "loss": float(np.mean(epoch_losses)),
+            "loss": loss,
             "kl_weight": schedule.kl_weight,
             "temperature": schedule.temperature,
         }
@@ -186,10 +191,25 @@ def train(
         if epoch in snap_at:
             result.snapshots.append(params.copy())
             result.snapshot_epochs.append(epoch)
+    del epoch_logits  # the gate fit below holds several arrays of that size
     if result.model.is_evidential:
         logits = mlp.infer(params, train_set.features)
         result.model.gate = EvidenceGate.fit(logits, train_set.labels)
     return result
+
+
+def _epoch_loss(cfg: TrainConfig, schedule, logits, y_all, order) -> float:
+    """The mean over the epoch's batches of each batch's mean loss.  Runs in
+    chunks of whole batches of at most ``mlp.BLOCK_ROWS`` rows (or one
+    batch) to bound memory; a row's loss does not depend on its chunk."""
+    size = cfg.batch_size
+    chunk = max(1, mlp.BLOCK_ROWS // size) * size
+    means = []
+    for lo in range(0, len(order), chunk):
+        rows = slice(lo, lo + chunk)
+        per = losses.logit_losses(cfg.objective, logits[rows], y_all[order[rows]], schedule)
+        means += [float(np.mean(per[i : i + size])) for i in range(0, len(per), size)]
+    return float(np.mean(means))
 
 
 def _check_logits(logits: np.ndarray) -> None:

@@ -24,12 +24,13 @@ from evos.checkpoint import file_sha256, load_checkpoint, save_checkpoint
 from evos.cli import main as cli_main
 from evos.data import load_csv
 from evos.head import opinion_from_alpha
-from evos.losses import LOSS_KINDS, Schedule, _loss_and_grad, objective, per_sample_loss
+from evos.losses import LOSS_KINDS, Schedule, _alpha_loss, per_sample_loss
 from evos.metrics import binary_auc
-from evos.mlp import MlpConfig, finite_diff_check, init_params
+from evos.mlp import MlpConfig, init_params
 from evos.numerics import digamma, log_gamma, trigamma
 from evos.records import Predictions
 from evos.training import Model, TrainConfig, accuracy, predict_records, train
+from gradcheck import finite_diff_check, loss_fn_for
 
 LEDGER = "docs/ood.md"
 
@@ -203,16 +204,6 @@ def test_criterion_2_special_function_recurrences():
 # criterion 3: gradients through softplus and the network
 
 
-def _loss_fn_for(kind):
-    sch = Schedule.for_epoch(5)  # mid-anneal: every loss term is active
-
-    def loss_fn(outputs):
-        n, k = outputs.shape
-        return objective(kind, outputs, np.eye(k)[np.arange(n) % k], sch)
-
-    return loss_fn
-
-
 def test_criterion_3_gradient_suite():
     t0 = time.perf_counter()
     worst = 0.0
@@ -223,7 +214,7 @@ def test_criterion_3_gradient_suite():
             cfg = MlpConfig(input_dim=3, output_dim=4, hidden_dims=(8, 6), seed=seed)
             params = init_params(cfg)
             x = np.random.default_rng(100 + seed).normal(size=(5, 3))
-            err = finite_diff_check(params, x, _loss_fn_for(kind), h=1e-5)
+            err = finite_diff_check(params, x, loss_fn_for(kind), h=1e-5)
             worst = max(worst, err)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-4 and elapsed < 30.0
@@ -241,7 +232,7 @@ def test_criterion_3_gradient_suite():
 def test_criterion_4_loss_fixed_points():
     # KL to the uniform Dirichlet: the "kl" term with no true class reset
     kl_worst = max(
-        abs(float(_loss_and_grad("kl", np.ones(k), np.zeros(k), None)[0])) for k in range(2, 17)
+        abs(float(_alpha_loss("kl", np.ones(k), np.zeros(k), None))) for k in range(2, 17)
     )
     unce_val = float(
         per_sample_loss(

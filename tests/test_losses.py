@@ -20,11 +20,12 @@ from evos.losses import (
     PROB_FLOOR,
     Schedule,
     _adjust,
+    _alpha_loss,
     _ce_value,
-    _loss_and_grad,
     _tce_value,
+    logit_grad,
+    logit_losses,
     loss_grad_alpha,
-    objective,
     per_sample_loss,
 )
 from evos.numerics import digamma, log_gamma, sigmoid, softmax, softplus, trigamma
@@ -130,12 +131,12 @@ def test_adjusted_alpha_values(alpha, y, expect):
 def test_kl_all_ones_is_exactly_zero():
     for k in (2, 5, 9):
         a = np.ones(k)
-        assert abs(_loss_and_grad("kl", a, np.zeros_like(a), None)[0]) < 1e-12
+        assert abs(_alpha_loss("kl", a, np.zeros_like(a), None)) < 1e-12
 
 
 def test_kl_hand_value_two_one():
     a = np.array([2.0, 1.0])
-    assert _loss_and_grad("kl", a, np.zeros_like(a), None)[0] == pytest.approx(
+    assert _alpha_loss("kl", a, np.zeros_like(a), None) == pytest.approx(
         math.log(2.0) - 0.5, abs=1e-10
     )
 
@@ -153,7 +154,7 @@ def test_kl_222_matches_quadrature_oracle():
         integrand, 1e-9, 1 - 2e-9, lambda x: 1e-9, lambda x: 1 - x - 1e-9
     )
     a = np.asarray(alpha)
-    assert _loss_and_grad("kl", a, np.zeros_like(a), None)[0] == pytest.approx(val, abs=1e-3)
+    assert _alpha_loss("kl", a, np.zeros_like(a), None) == pytest.approx(val, abs=1e-3)
 
 
 @settings(deadline=None, max_examples=200)
@@ -164,7 +165,7 @@ def test_kl_222_matches_quadrature_oracle():
 def test_kl_nonnegative_and_zero_only_at_ones(k, seed):
     rng = np.random.default_rng(seed)
     a = 1.0 + rng.uniform(0.0, 30.0, size=k)
-    val = _loss_and_grad("kl", a, np.zeros_like(a), None)[0]
+    val = _alpha_loss("kl", a, np.zeros_like(a), None)
     assert val >= -1e-12
     if np.any(a > 1.0 + 1e-6):
         assert val > 0.0
@@ -173,7 +174,7 @@ def test_kl_nonnegative_and_zero_only_at_ones(k, seed):
 def test_kl_random_sweep_nonnegative():
     rng = np.random.default_rng(7)
     a = 1.0 + rng.uniform(0.0, 40.0, size=(10_000, 4))
-    vals = _loss_and_grad("kl", a, np.zeros_like(a), None)[0]
+    vals = _alpha_loss("kl", a, np.zeros_like(a), None)
     assert vals.shape == (10_000,)
     assert (vals >= -1e-12).all()
 
@@ -203,7 +204,7 @@ def test_un_loss_composes_components():
     alpha = np.array([4.0, 2.0])
     y = one_hot(0, 2)
     a_hat = _adjust(alpha, y)
-    kl = _loss_and_grad("kl", a_hat, np.zeros_like(a_hat), None)[0]
+    kl = _alpha_loss("kl", a_hat, np.zeros_like(a_hat), None)
     expect = per_sample_loss("unce", alpha, y, EPOCH0) + kl
     assert per_sample_loss("un", alpha, y, FULL_KL) == pytest.approx(expect, abs=1e-14)
 
@@ -339,7 +340,7 @@ def test_per_sample_loss_vectorizes_over_batch():
 
 
 # ---------------------------------------------------------------------------
-# the validated entry points and the training objective
+# the validated entry points and the training objective on logits
 
 _GOOD_ALPHA, _GOOD_Y = np.array([[3.0, 1.5, 2.0]]), np.array([[0.0, 1.0, 0.0]])
 _BAD_INPUTS = [
@@ -380,26 +381,28 @@ def _logit_batch():
 def test_objective_is_mean_loss_and_logit_gradient(kind):
     logits, y = _logit_batch()
     sch = Schedule.for_epoch(5)
-    loss, grad = objective(kind, logits, y, sch)
+    per, grad = logit_losses(kind, logits, y, sch), logit_grad(kind, logits, y, sch)
     alpha = softplus(logits) + 1.0
-    assert loss == float(np.mean(per_sample_loss(kind, alpha, y, sch)))
+    assert per.tobytes() == per_sample_loss(kind, alpha, y, sch).tobytes()
     expect = loss_grad_alpha(kind, alpha, y, sch) * sigmoid(logits) / len(logits)
     assert grad.tobytes() == expect.tobytes()
 
 
 def test_objective_standard_ce_is_softmax_cross_entropy():
     logits, y = _logit_batch()
-    loss, grad = objective("standard_ce", logits, y, Schedule.for_epoch(5))
+    sch = Schedule.for_epoch(5)
+    per = logit_losses("standard_ce", logits, y, sch)
+    grad = logit_grad("standard_ce", logits, y, sch)
     probs = softmax(logits)
-    assert loss == float(np.mean(_ce_value(probs, y)))
+    assert per.tobytes() == _ce_value(probs, y).tobytes()
     assert grad.tobytes() == ((probs - y) / len(logits)).tobytes()
 
 
 # ---------------------------------------------------------------------------
 # the objective against the per-function formulation: every term calls the
-# public digamma / trigamma / log_gamma itself, probabilities are clamped with
-# np.clip, and sigmoid is piecewise.  The fused loss must reproduce it bit
-# for bit.
+# public digamma / trigamma / log_gamma itself, value and gradient together,
+# probabilities are clamped with np.clip, and sigmoid is piecewise.  The
+# value and gradient paths must each reproduce it bit for bit.
 
 
 def _ref_sigmoid(x):
@@ -496,7 +499,8 @@ def test_objective_bit_identical_to_per_function_reference(kind):
             logits[:, 0], y = -50.0, np.eye(k)[np.zeros(n, dtype=int)]
         for epoch in (0, 5, 20):
             sch = Schedule.for_epoch(epoch)
-            loss, grad = objective(kind, logits, y, sch)
+            loss = float(np.mean(logit_losses(kind, logits, y, sch)))
+            grad = logit_grad(kind, logits, y, sch)
             ref_loss, ref_grad = _reference_objective(kind, logits, y, sch)
             assert loss == ref_loss, (trial, epoch)
             assert grad.tobytes() == ref_grad.tobytes(), (trial, epoch)
@@ -518,6 +522,10 @@ def test_entry_points_bit_identical_below_one(kind):
 def test_training_bit_identical_with_reference_objective(objective_kind, monkeypatch):
     ds = gen_blobs(n_per_class=60, n_classes=3, seed=4)
     cfg = TrainConfig(epochs=5, learning_rate=1e-3, objective=objective_kind, seed=2)
-    fused = train(ds, None, cfg).model.params.flat
-    monkeypatch.setattr(losses, "objective", _reference_objective)
-    assert np.array_equal(train(ds, None, cfg).model.params.flat, fused)
+    result = train(ds, None, cfg)
+    monkeypatch.setattr(
+        losses, "logit_grad", lambda *args: _reference_objective(*args)[1]
+    )
+    reference = train(ds, None, cfg)
+    assert np.array_equal(reference.model.params.flat, result.model.params.flat)
+    assert reference.log == result.log

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from evos.losses import LOSS_KINDS, Schedule, objective
+from evos.losses import LOSS_KINDS
 from evos.mlp import (
     BLOCK_ROWS,
     ForwardTrace,
@@ -15,7 +15,6 @@ from evos.mlp import (
     backward,
     check_finite,
     dropout_mask_rows,
-    finite_diff_check,
     forward,
     infer,
     init_params,
@@ -23,6 +22,7 @@ from evos.mlp import (
     row_blocks,
 )
 from evos.errors import NumericError
+from gradcheck import finite_diff_check, loss_fn_for
 
 
 def small_config(**kw) -> MlpConfig:
@@ -403,16 +403,6 @@ def test_backward_replays_dropout_masks():
 # finite-difference harness over every objective
 
 
-def _loss_fn_for(kind):
-    sch = Schedule.for_epoch(5)  # lambda=0.5, tau=0.505: all terms active
-
-    def loss_fn(outputs):
-        n, k = outputs.shape
-        return objective(kind, outputs, np.eye(k)[np.arange(n) % k], sch)
-
-    return loss_fn
-
-
 @pytest.mark.parametrize("kind", [pytest.param("standard_ce", id="softmax_ce"), *LOSS_KINDS])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_finite_diff_check_all_losses(kind, seed):
@@ -421,7 +411,7 @@ def test_finite_diff_check_all_losses(kind, seed):
     cfg = MlpConfig(input_dim=3, output_dim=4, hidden_dims=(8, 6), seed=seed)
     p = init_params(cfg)
     x = np.random.default_rng(100 + seed).normal(size=(5, 3))
-    err = finite_diff_check(p, x, _loss_fn_for(kind))
+    err = finite_diff_check(p, x, loss_fn_for(kind))
     assert err < 1e-4, f"{kind} seed {seed}: max rel err {err:.2e}"
 
 

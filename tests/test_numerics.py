@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from evos.numerics import (
-    _psi_trigamma,
+    _digamma,
     _row_max,
     _row_sum,
+    _trigamma,
     digamma,
     entropy,
     log_gamma,
@@ -214,7 +215,7 @@ def test_trigamma_recurrence(x):
 
 
 # ---------------------------------------------------------------------------
-# the shared psi / psi' kernel
+# the psi and psi' kernels
 
 
 def _reference_psi_trigamma(x):
@@ -260,7 +261,7 @@ def _reference_psi_trigamma(x):
 
 
 def _assert_kernel_matches_public(xs):
-    psi, tri = _psi_trigamma(xs)
+    psi, tri = _digamma(xs), _trigamma(xs)
     assert np.array_equal(psi, digamma(xs)) and np.array_equal(tri, trigamma(xs))
     assert psi.tolist() == [digamma(float(x)) for x in xs]
     assert tri.tolist() == [trigamma(float(x)) for x in xs]

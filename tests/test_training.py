@@ -3,15 +3,28 @@ schedule logging, snapshots, determinism, and prediction semantics."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from evos.data import Dataset, gen_blobs, split_622
+from evos import losses
+from evos.data import Dataset, gen_blobs, one_hot, split_622
 from evos.errors import DataError, NumericError
 from evos.head import EvidenceGate, SubjectiveOpinion
-from evos.mlp import MlpConfig, MlpParams, infer, init_params
+from evos.losses import Schedule, _ce_value, loss_grad_alpha, per_sample_loss
+from evos.mlp import (
+    BLOCK_ROWS,
+    MlpConfig,
+    MlpParams,
+    backward,
+    forward,
+    infer,
+    init_params,
+    make_dropout_masks,
+)
+from evos.numerics import sigmoid, softmax, softplus
 from evos.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -272,6 +285,115 @@ def test_dropout_changes_training_but_stays_deterministic(separable):
     p_drop2 = train(separable, None, cfg, dropped).model.params
     assert not np.array_equal(p_base.weights[0], p_drop1.weights[0])
     assert np.array_equal(p_drop1.weights[0], p_drop2.weights[0])
+
+
+# ---------------------------------------------------------------------------
+# the step computes only the gradient; the logged loss comes from one pass
+# per epoch
+
+
+def _train_with_per_step_loss(train_set, val_set, cfg, net):
+    """``train``'s loop as it ran with the loss value computed at each step:
+    the batch mean of ``per_sample_loss`` on the pre-update alpha, and the
+    gradient ``loss_grad_alpha * sigmoid(logits) / n`` (softmax
+    cross-entropy for ``standard_ce``).  Returns (params, snapshots, log)."""
+    params = init_params(net)
+    state = AdamState.zeros_like(params)
+    model = Model(config=net, params=params, objective=cfg.objective)
+    y_all = one_hot(train_set.labels, train_set.n_classes)
+    snap_at = set(snapshot_epochs(cfg.epochs, cfg.snapshot_count))
+    snapshots, log = [], []
+    for epoch in range(cfg.epochs):
+        schedule = Schedule.for_epoch(epoch, cfg.anneal_epochs)
+        rng = np.random.default_rng((cfg.seed, epoch))
+        order = rng.permutation(len(train_set))
+        epoch_losses = []
+        for start in range(0, len(order), cfg.batch_size):
+            sel = order[start : start + cfg.batch_size]
+            xb, yb = train_set.features[sel], y_all[sel]
+            masks = make_dropout_masks(net, len(sel), rng) if net.dropout_rate > 0 else None
+            logits, trace = forward(params, xb, dropout_masks=masks)
+            if cfg.objective == "standard_ce":
+                probs = softmax(logits)
+                per, grad_out = _ce_value(probs, yb), (probs - yb) / len(sel)
+            else:
+                alpha = softplus(logits) + 1.0
+                per = per_sample_loss(cfg.objective, alpha, yb, schedule)
+                grad_alpha = loss_grad_alpha(cfg.objective, alpha, yb, schedule)
+                grad_out = grad_alpha * sigmoid(logits) / len(sel)
+            epoch_losses.append(float(np.mean(per)))
+            grads = backward(trace, params, grad_out)
+            adam_step(params, grads, state, cfg.learning_rate, cfg.weight_decay)
+        record = {
+            "epoch": epoch,
+            "loss": float(np.mean(epoch_losses)),
+            "kl_weight": schedule.kl_weight,
+            "temperature": schedule.temperature,
+            "val_accuracy": accuracy(model, val_set),
+        }
+        log.append(record)
+        if epoch in snap_at:
+            snapshots.append(params.copy())
+    return params, snapshots, log
+
+
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.25])
+@pytest.mark.parametrize("objective", ["tun", "un", "standard_ce"])
+def test_training_bit_identical_to_per_step_loss(objective, dropout_rate):
+    # 2,070 rows in batches of 50: a short last batch of 20, and an epoch
+    # pass of two chunks (2,000 rows, then 70)
+    ds = gen_blobs(n_per_class=690, n_classes=3, seed=5)
+    val = gen_blobs(n_per_class=30, n_classes=3, seed=6)
+    cfg = TrainConfig(epochs=12, learning_rate=1e-3, batch_size=50, objective=objective,
+                      seed=5, snapshot_count=3)
+    net = MlpConfig(input_dim=2, output_dim=3, dropout_rate=dropout_rate, seed=5)
+    result = train(ds, val, cfg, net)
+    params, snapshots, log = _train_with_per_step_loss(ds, val, cfg, net)
+    assert result.model.params.flat.tobytes() == params.flat.tobytes()
+    assert [s.flat.tobytes() for s in result.snapshots] == [s.flat.tobytes() for s in snapshots]
+    assert result.log == log
+
+
+def test_kernels_run_once_per_step_and_once_per_epoch_chunk(monkeypatch):
+    rows = {"_trigamma": [], "_digamma": [], "_log_gamma": []}
+    for name, seen in rows.items():
+        def counted(x, kernel=getattr(losses, name), seen=seen):
+            seen.append(len(x))
+            return kernel(x)
+
+        monkeypatch.setattr(losses, name, counted)
+    ds = gen_blobs(n_per_class=690, n_classes=3, seed=5)  # 2,070 rows
+    train(ds, None, TrainConfig(epochs=3, batch_size=50, objective="tun", seed=5))
+    chunk = BLOCK_ROWS // 50 * 50
+    assert rows["_trigamma"] == ([50] * 41 + [20]) * 3
+    assert rows["_digamma"] == rows["_log_gamma"] == [chunk, 2070 - chunk] * 3
+    for seen in rows.values():
+        seen.clear()
+    train(ds, None, TrainConfig(epochs=3, batch_size=50, objective="standard_ce", seed=5))
+    assert rows == {"_trigamma": [], "_digamma": [], "_log_gamma": []}
+
+
+def test_epoch_loss_pass_memory_is_bounded():
+    # the epoch pass on all 200k rows at once peaked at ~130 MiB; in chunks
+    # the peak is the gate fit's, ~45 MiB
+    ds = gen_blobs(n_per_class=40_000, n_classes=5, seed=3)
+    tracemalloc.start()
+    try:
+        train(ds, None, TrainConfig(epochs=1, objective="tun", seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 56 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("objective, value_term", [("tun", "_tce_value"),
+                                                   ("standard_ce", "_ce_value")])
+def test_non_finite_epoch_loss_raises(objective, value_term, monkeypatch):
+    # the gradient path is untouched, so the NaN shows only in the epoch pass
+    monkeypatch.setattr(losses, value_term, lambda p, y, *args: np.full(len(p), np.nan))
+    ds = gen_blobs(n_per_class=40, n_classes=2, seed=0)
+    with pytest.raises(NumericError, match=r"training diverged at epoch 0: loss=nan"):
+        train(ds, None, TrainConfig(epochs=3, objective=objective, seed=0))
 
 
 # ---------------------------------------------------------------------------
