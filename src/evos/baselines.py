@@ -8,7 +8,7 @@ to all of them:
     entropy   normalized softmax entropy of a standard model
     mc_drop   mean softmax over T stochastic dropout passes, normalized
               entropy of the mean
-    ensemble  mean softmax over snapshot checkpoints, normalized entropy
+    ensemble  mean softmax over the model's snapshots, normalized entropy
     tta       mean softmax over T passes with Gaussian input jitter;
               uncertainty = mean across-pass variance of the class
               probabilities, normalized by its maximum (1/4)
@@ -85,11 +85,9 @@ def mc_dropout_score(
 def ensemble_score(
     model: Model, snapshots: list[mlp.MlpParams], x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Snapshot ensemble: average softmax over saved checkpoints."""
+    """Snapshot ensemble: average softmax over parameter snapshots."""
     if len(snapshots) < 2:
-        raise DataError(
-            f"ensemble_score: need >= 2 snapshot checkpoints, got {len(snapshots)}"
-        )
+        raise DataError(f"ensemble_score: need >= 2 snapshots, got {len(snapshots)}")
     x = np.asarray(x, dtype=np.float64)
     acc = np.zeros((len(x), model.config.output_dim))
     for params in snapshots:
@@ -153,7 +151,7 @@ def score_method(
     jitter_sigma: float = DEFAULT_JITTER_SIGMA,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Dispatch a named method; see METHODS."""
+    """Dispatch a named method; see METHODS.  ``snapshots`` default to the model's."""
     if method == "uios":
         return uios_score(model, x)
     if method == "entropy":
@@ -161,7 +159,7 @@ def score_method(
     if method == "mc_drop":
         return mc_dropout_score(model, x, passes=passes, seed=seed)
     if method == "ensemble":
-        return ensemble_score(model, snapshots or [], x)
+        return ensemble_score(model, model.snapshots if snapshots is None else snapshots, x)
     if method == "tta":
         return tta_score(model, x, passes=passes, jitter_sigma=jitter_sigma, seed=seed)
     raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")

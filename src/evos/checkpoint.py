@@ -13,7 +13,9 @@ half-loading.
 Version 2 adds the evidence gate of evidential models (``gate``: the
 logit means, per-dimension scale and onset of ``head.EvidenceGate``, or
 null for the plain softplus head).  Version 3 drops the annealing schedule
-of the last training epoch, which nothing read after training.
+of the last training epoch, which nothing read after training.  Version 4
+holds the snapshot ensemble's members (``snapshots``: a list of
+``{weights, biases}`` objects in training order) in the checkpoint itself.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import DataError
 from .head import EvidenceGate
 from .training import OBJECTIVES, Model, TrainConfig
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _CHECKPOINT_KEYS = {
     "format_version",
@@ -44,6 +46,7 @@ _CHECKPOINT_KEYS = {
     "dataset_fingerprint",
     "calibration",
     "gate",
+    "snapshots",
 }
 
 
@@ -146,17 +149,39 @@ def save_checkpoint(
         "format_version": FORMAT_VERSION,
         "kind": "checkpoint",
         "mlp": dataclasses.asdict(model.config),
-        "params": {
-            "weights": [encode_array(w) for w in model.params.weights],
-            "biases": [encode_array(b) for b in model.params.biases],
-        },
+        "params": _encode_params(model.params),
         "objective": model.objective,
         "train_config": dataclasses.asdict(train_config),
         "dataset_fingerprint": dataset_fingerprint,
         "calibration": calibration.to_dict() if calibration is not None else None,
         "gate": _encode_gate(model.gate),
+        "snapshots": [_encode_params(s) for s in model.snapshots],
     }
     write_json(obj, path)
+
+
+def _encode_params(params: mlp.MlpParams) -> dict:
+    return {
+        "weights": [encode_array(w) for w in params.weights],
+        "biases": [encode_array(b) for b in params.biases],
+    }
+
+
+def _decode_params(obj, dims, path, what: str) -> mlp.MlpParams:
+    """The ``{weights, biases}`` object ``what``, checked against the layer
+    sizes ``dims``; DataError naming the key otherwise."""
+    _exact(obj, {"weights", "biases"}, path, what)
+    if not all(isinstance(v, list) for v in obj.values()):
+        raise DataError(f"{path}: {what}: expected lists of encoded arrays")
+    arrays = {k: [_array(a, path, f"{what}.{k}[{i}]") for i, a in enumerate(v)]
+              for k, v in obj.items()}
+    for k, want in (("weights", dims), ("biases", [(o,) for _, o in dims])):
+        got = [a.shape for a in arrays[k]]
+        if got != want:  # name the first array that differs, is missing or is extra
+            pairs = enumerate(zip(got, want))
+            i = next((i for i, (g, w) in pairs if g != w), min(len(got), len(want)))
+            raise DataError(f"{path}: {what}.{k}[{i}] does not fit the layer sizes {dims}")
+    return mlp.MlpParams(**arrays)
 
 
 def _encode_gate(gate: EvidenceGate | None) -> dict | None:
@@ -193,25 +218,22 @@ def load_checkpoint(path) -> tuple[Model, TrainConfig, str, ThresholdCalibration
     if obj["objective"] not in OBJECTIVES:
         raise DataError(f"{path}: objective {obj['objective']!r}, expected one of {OBJECTIVES}")
     cfg = mlp.MlpConfig(**_exact(obj["mlp"], mlp.MlpConfig, path, "mlp"))
-    p = _exact(obj["params"], {"weights", "biases"}, path, "params")
-    if not all(isinstance(v, list) for v in p.values()):
-        raise DataError(f"{path}: params: expected lists of encoded arrays")
-    weights, biases = (
-        [_array(a, path, f"params.{k}[{i}]") for i, a in enumerate(p[k])]
-        for k in ("weights", "biases")
-    )
     dims = cfg.layer_dims
-    if [w.shape for w in weights] != dims or [b.shape for b in biases] != [(o,) for _, o in dims]:
-        raise DataError(f"{path}: params do not fit the layer sizes {dims}")
+    params = _decode_params(obj["params"], dims, path, "params")
+    if not isinstance(obj["snapshots"], list):
+        raise DataError(f"{path}: snapshots: expected a list of {{weights, biases}} objects")
+    snaps = [_decode_params(s, dims, path, f"snapshots[{i}]")
+             for i, s in enumerate(obj["snapshots"])]
     calib = obj["calibration"]
     if calib is not None:
         calib = _exact(calib, ThresholdCalibration, path, "calibration")
         calib = ThresholdCalibration.from_dict(calib)
     model = Model(
         config=cfg,
-        params=mlp.MlpParams(weights=weights, biases=biases),
+        params=params,
         objective=obj["objective"],
         gate=_decode_gate(obj["gate"], cfg.output_dim, path),
+        snapshots=snaps,
     )
     tc = TrainConfig(**_exact(obj["train_config"], TrainConfig, path, "train_config"))
     return model, tc, obj["dataset_fingerprint"], calib

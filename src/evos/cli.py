@@ -14,7 +14,6 @@ to stdout and a ``.timing.json`` sidecar, never into report files.
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import os
 import sys
@@ -30,7 +29,7 @@ from .data import OOD_LABEL, gen_blobs, gen_ood, load_csv, save_csv, split_622
 from .errors import DataError, NumericError
 from .metrics import evaluate, ood_detection_rate
 from .records import from_scores
-from .training import Model, TrainConfig, train
+from .training import OBJECTIVES, Model, TrainConfig, train
 
 DEFAULT_SEED = 0
 
@@ -82,13 +81,9 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _snapshot_paths(ckpt_path: str) -> list[str]:
-    stem = ckpt_path[:-5] if ckpt_path.endswith(".json") else ckpt_path
-    return sorted(glob.glob(stem + ".snap*.json"))
-
-
+# perfbench/workloads.py reads a checkpoint's ensemble members through this
 def _load_snapshots(ckpt_path: str) -> list[mlp.MlpParams]:
-    return [load_checkpoint(p)[0].params for p in _snapshot_paths(ckpt_path)]
+    return load_checkpoint(ckpt_path)[0].snapshots
 
 
 def _load_labelled(path, name: str):
@@ -102,20 +97,19 @@ def _load_labelled(path, name: str):
     return ds
 
 
-def _method_records(method, model, snapshots, ds, args):
+def _method_records(method, model, ds, args):
     probs, u = baselines.score_method(
-        method, model, ds.features, snapshots, args.passes, args.jitter_sigma, args.seed
+        method, model, ds.features, passes=args.passes, jitter_sigma=args.jitter_sigma,
+        seed=args.seed,
     )
     return from_scores(probs, u, ds.labels)
 
 
-def _scoring(model: Model, args) -> tuple[str, list[mlp.MlpParams] | None]:
-    """``--method`` (auto: uios for evidential models, else entropy) and,
-    for ensemble, the checkpoint's snapshots."""
-    method = args.method
-    if method == "auto":
-        method = "uios" if model.is_evidential else "entropy"
-    return method, _load_snapshots(args.checkpoint) if method == "ensemble" else None
+def _method(model: Model, args) -> str:
+    """``--method``; auto is uios for evidential models, else entropy."""
+    if args.method != "auto":
+        return args.method
+    return "uios" if model.is_evidential else "entropy"
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +199,6 @@ def cmd_train(args) -> int:
     fingerprint = file_sha256(args.train_csv)
     save_checkpoint(args.out, result.model, cfg, fingerprint)
     stem = args.out[:-5] if args.out.endswith(".json") else args.out
-    for i, (params, ep) in enumerate(zip(result.snapshots, result.snapshot_epochs)):
-        snap_model = Model(
-            config=result.model.config, params=params, objective=result.model.objective
-        )
-        save_checkpoint(f"{stem}.snap{i}.json", snap_model, cfg, fingerprint)
     with open(stem + ".log.jsonl", "w") as fh:
         for rec in result.log:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -218,7 +207,7 @@ def cmd_train(args) -> int:
         f"trained {args.objective} for {args.epochs} epochs: "
         f"final loss {last.get('loss', float('nan')):.4f}, "
         f"val acc {last.get('val_accuracy', float('nan')):.4f}; "
-        f"checkpoint {args.out} (+{len(result.snapshots)} snapshots)"
+        f"checkpoint {args.out} ({len(result.model.snapshots)} snapshots)"
     )
     return 0
 
@@ -230,8 +219,8 @@ def cmd_train(args) -> int:
 def cmd_calibrate(args) -> int:
     model, tc, fingerprint, _ = load_checkpoint(args.checkpoint)
     val_set = _load_labelled(args.val_csv, "val")
-    method, snapshots = _scoring(model, args)
-    recs = _method_records(method, model, snapshots, val_set, args)
+    method = _method(model, args)
+    recs = _method_records(method, model, val_set, args)
     n_wrong = int(np.sum(recs.predicted != recs.labels))
     if n_wrong == 0:
         raise DataError(
@@ -255,8 +244,8 @@ def cmd_calibrate(args) -> int:
 def cmd_eval(args) -> int:
     model, _, _, cal = load_checkpoint(args.checkpoint)
     test_set = _load_labelled(args.test_csv, "test")
-    method, snapshots = _scoring(model, args)
-    recs = _method_records(method, model, snapshots, test_set, args)
+    method = _method(model, args)
+    recs = _method_records(method, model, test_set, args)
     sections = {"unthresholded": evaluate(recs).to_dict(), "method": method}
     line = (
         f"unthresholded: acc {sections['unthresholded']['accuracy']:.4f} "
@@ -306,12 +295,12 @@ def cmd_ood_eval(args) -> int:
         raise DataError(
             "ood-eval: checkpoint has no calibrated threshold; run `evos calibrate` first"
         )
-    method, snapshots = _scoring(model, args)
+    method = _method(model, args)
     sections = {"method": method, "threshold": cal.threshold, "files": {}}
     inputs = {"checkpoint": file_sha256(args.checkpoint)}
     for path in args.ood_csv:
         ds = load_csv(path, name=path)
-        recs = _method_records(method, model, snapshots, ds, args)
+        recs = _method_records(method, model, ds, args)
         rate = ood_detection_rate(recs.uncertainty, cal.threshold)
         counts, _ = np.histogram(recs.uncertainty, bins=args.bins, range=(0.0, 1.0))
         sections["files"][path] = {
@@ -357,35 +346,30 @@ def cmd_compare(args) -> int:
     bad = [m for m in methods if m not in baselines.METHODS]
     if bad:
         raise DataError(f"compare: unknown methods {bad}, expected from {baselines.METHODS}")
-    missing = []
-    for m in methods:
-        p = os.path.join(args.checkpoint_dir, _ARTIFACT_FOR_METHOD[m])
-        if not os.path.exists(p):
-            missing.append(f"{m} -> {p}")
-        if m == "ensemble" and len(_snapshot_paths(p)) < 2:
-            missing.append(f"{m} -> {p.replace('.json', '')}.snap*.json (need >= 2)")
+    ckpts = {m: os.path.join(args.checkpoint_dir, _ARTIFACT_FOR_METHOD[m]) for m in methods}
+    missing = [f"{m} -> {p}" for m, p in ckpts.items() if not os.path.exists(p)]
     if missing:
         raise DataError("compare: missing artifacts:\n  " + "\n  ".join(missing))
+    # one load per distinct checkpoint: three methods share standard.json
+    models = {p: load_checkpoint(p)[0] for p in dict.fromkeys(ckpts.values())}
+    n = len(models[ckpts["ensemble"]].snapshots) if "ensemble" in methods else 2
+    if n < 2:
+        raise DataError(f"compare: {ckpts['ensemble']} holds {n} snapshots, ensemble needs >= 2")
 
     val_set = _load_labelled(args.val_csv, "val")
     test_set = _load_labelled(args.test_csv, "test")
     ood_sets = [load_csv(p, name=p) for p in (args.ood_csv or [])]
-    ckpts = {m: os.path.join(args.checkpoint_dir, _ARTIFACT_FOR_METHOD[m]) for m in methods}
-    # one load per distinct checkpoint: three methods share standard.json
-    models = {p: load_checkpoint(p)[0] for p in dict.fromkeys(ckpts.values())}
-    snapshots = _load_snapshots(ckpts["ensemble"]) if "ensemble" in methods else None
 
     def score(m):
         """One method's row and seconds per test row; shares no state with
         the other methods, so they may run at the same time."""
         model = models[ckpts[m]]
-        snaps = snapshots if m == "ensemble" else None
-        val_recs = _method_records(m, model, snaps, val_set, args)
+        val_recs = _method_records(m, model, val_set, args)
         cal = calibrate(val_recs, coefficient=args.coefficient)
         # this thread's CPU time: other methods running alongside do not
         # count against this one
         t0 = time.thread_time()
-        test_recs = _method_records(m, model, snaps, test_set, args)
+        test_recs = _method_records(m, model, test_set, args)
         elapsed = time.thread_time() - t0
         rep = evaluate(test_recs)
         row = {
@@ -396,7 +380,7 @@ def cmd_compare(args) -> int:
         }
         if ood_sets:
             u_all = np.concatenate(
-                [_method_records(m, model, snaps, o, args).uncertainty for o in ood_sets]
+                [_method_records(m, model, o, args).uncertainty for o in ood_sets]
             )
             row["ood_detection_rate"] = ood_detection_rate(u_all, cal.threshold)
         return row, elapsed / len(test_set)
@@ -470,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--train-csv", required=True)
     t.add_argument("--val-csv")
     t.add_argument("--out", required=True, help="checkpoint path (.json)")
-    t.add_argument("--objective", choices=["standard_ce", "un", "tun"], default="tun")
+    t.add_argument("--objective", choices=OBJECTIVES, default="tun")
     t.add_argument("--epochs", type=int, default=400)
     t.add_argument("--learning-rate", type=float, default=1e-4)
     t.add_argument("--weight-decay", type=float, default=1e-4)

@@ -33,7 +33,6 @@ class MlpConfig:
     input_dim: int
     output_dim: int
     hidden_dims: tuple[int, ...] = (32, 32)
-    activation: str = "relu"
     dropout_rate: float = 0.0
     seed: int = 0
 
@@ -43,8 +42,6 @@ class MlpConfig:
             raise ValueError("MlpConfig: dims must be positive")
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError("MlpConfig: hidden dims must be positive")
-        if self.activation != "relu":
-            raise ValueError("MlpConfig: only 'relu' is supported")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("MlpConfig: dropout_rate must be in [0, 1)")
 

@@ -103,6 +103,7 @@ class Model:
     params: mlp.MlpParams
     objective: str
     gate: EvidenceGate | None = None  # None: the plain softplus evidence head
+    snapshots: list[mlp.MlpParams] = field(default_factory=list)  # in training order
 
     @property
     def is_evidential(self) -> bool:
@@ -113,8 +114,6 @@ class Model:
 class TrainResult:
     model: Model
     log: list[dict] = field(default_factory=list)
-    snapshots: list[mlp.MlpParams] = field(default_factory=list)
-    snapshot_epochs: list[int] = field(default_factory=list)
 
 
 def snapshot_epochs(epochs: int, count: int) -> list[int]:
@@ -189,8 +188,7 @@ def train(
             record["val_accuracy"] = accuracy(result.model, val_set)
         result.log.append(record)
         if epoch in snap_at:
-            result.snapshots.append(params.copy())
-            result.snapshot_epochs.append(epoch)
+            result.model.snapshots.append(params.copy())
     del epoch_logits  # the gate fit below holds several arrays of that size
     if result.model.is_evidential:
         logits = mlp.infer(params, train_set.features)

@@ -29,7 +29,7 @@ from evos.metrics import binary_auc
 from evos.mlp import MlpConfig, init_params
 from evos.numerics import digamma, log_gamma, trigamma
 from evos.records import Predictions
-from evos.training import Model, TrainConfig, accuracy, predict_records, train
+from evos.training import TrainConfig, accuracy, predict_records, train
 from gradcheck import finite_diff_check, loss_fn_for
 
 LEDGER = "docs/ood.md"
@@ -116,20 +116,12 @@ def arms(bench, tmp_path_factory):
         results[objective] = train(tr, va, cfg, net)
         metrics[objective] = arm_metrics(results[objective].model)
 
-    # comparison artifacts: uios.json / standard.json (+snapshots) / mcdrop.json
+    # comparison artifacts: uios.json / standard.json (with its snapshots) / mcdrop.json
     shutil.copy(bench.model_path, cmp_dir / "uios.json")
     std = results["standard_ce"]
     save_checkpoint(
         cmp_dir / "standard.json", std.model, TrainConfig(epochs=400, objective="standard_ce", seed=42), fingerprint
     )
-    for i, params in enumerate(std.snapshots):
-        snap = Model(config=std.model.config, params=params, objective=std.model.objective)
-        save_checkpoint(
-            cmp_dir / f"standard.snap{i}.json",
-            snap,
-            TrainConfig(epochs=400, objective="standard_ce", seed=42),
-            fingerprint,
-        )
     drop_cfg = TrainConfig(epochs=150, objective="standard_ce", seed=42)
     drop_net = MlpConfig(input_dim=2, output_dim=5, dropout_rate=0.25, seed=42)
     drop = train(tr, va, drop_cfg, drop_net)
@@ -140,7 +132,7 @@ def arms(bench, tmp_path_factory):
         cmp_dir=cmp_dir,
         tun_model=tun_model,
         std_model=std.model,
-        std_snapshots=std.snapshots,
+        std_snapshots=std.model.snapshots,
         drop_model=drop.model,
         va=va,
         te=te,
@@ -496,7 +488,8 @@ def test_criterion_9_reruns_are_byte_identical(bench, arms, tmp_path):
             "--epochs", 60,
             "--seed", 0,
         )
-    for name in ("model.json", "model.snap0.json", "model.snap4.json", "model.log.jsonl"):
+    # model.json holds the five snapshots too
+    for name in ("model.json", "model.log.jsonl"):
         same(tmp_path / "t1" / name, tmp_path / "t2" / name, f"train {name}")
 
     for i in (1, 2):

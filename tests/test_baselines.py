@@ -209,7 +209,7 @@ def test_ensemble_maximal_disagreement_gives_u_one():
 
 def test_ensemble_deterministic(standard_result):
     model = standard_result.model
-    snaps = standard_result.snapshots
+    snaps = standard_result.model.snapshots
     assert len(snaps) >= 2
     x = np.array([[1.5, 2.5]])
     r1 = ensemble_score(model, snaps, x)
@@ -268,7 +268,7 @@ def test_score_method_matches_direct_calls(
     standard_result, dropout_model, evidential_model
 ):
     x = np.array([[1.0, -1.0], [0.0, 4.0], [2.0, 2.0]])
-    snaps = standard_result.snapshots
+    snaps = standard_result.model.snapshots
     direct = {
         "uios": uios_score(evidential_model, x),
         "entropy": entropy_score(standard_result.model, x),
@@ -294,9 +294,18 @@ def test_score_method_unknown_name(standard_result):
         score_method("oracle", standard_result.model, np.zeros((1, 2)))
 
 
-def test_score_method_ensemble_without_snapshots(standard_result):
-    with pytest.raises(DataError):
-        score_method("ensemble", standard_result.model, np.zeros((1, 2)))
+def test_score_method_ensemble_without_snapshots():
+    # no snapshots passed and none in the model
+    with pytest.raises(DataError, match="got 0"):
+        score_method("ensemble", linear_model([1.0, 0.0]), np.zeros((1, 2)))
+
+
+def test_score_method_ensemble_takes_the_model_snapshots(standard_result):
+    model = standard_result.model
+    x = np.array([[0.5, -1.0], [3.0, 1.0]])
+    got = score_method("ensemble", model, x)
+    want = ensemble_score(model, model.snapshots, x)
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
 
 def test_every_method_uncertainty_in_unit_interval(
@@ -304,7 +313,7 @@ def test_every_method_uncertainty_in_unit_interval(
 ):
     _, _, te = bench_splits
     x = te.features[:100]
-    snaps = standard_result.snapshots
+    snaps = standard_result.model.snapshots
     models = {
         "uios": evidential_model,
         "entropy": standard_result.model,
@@ -387,7 +396,7 @@ def _assert_scorers_match_whole(x, standard_result, dropout_model, evidential_mo
         "ensemble": standard_result.model,
         "tta": standard_result.model,
     }
-    snaps = standard_result.snapshots
+    snaps = standard_result.model.snapshots
     for method in METHODS:
         got = score_method(method, models[method], x, snapshots=snaps, seed=seed)
         want = _score_whole(method, models[method], x, snapshots=snaps, seed=seed)
@@ -487,7 +496,7 @@ def test_softmax_scorers_raise_on_non_finite_logits(method, standard_result, dro
     broken = model.params.copy()
     broken.weights[-1][0, 0] = np.nan
     bad = Model(config=model.config, params=broken, objective=model.objective)
-    snaps = [broken, *standard_result.snapshots[1:]]
+    snaps = [broken, *standard_result.model.snapshots[1:]]
     x = np.random.default_rng(2).normal(size=(50, 2))
     with pytest.raises(NumericError, match="non-finite logits"):
         score_method(method, bad, x, snapshots=snaps)

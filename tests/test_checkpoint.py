@@ -2,6 +2,7 @@
 and byte-identical output for identical content."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from evos.checkpoint import (
     save_checkpoint,
     save_report,
 )
-from evos.data import gen_blobs
+from evos.cli import main
+from evos.data import gen_blobs, save_csv
 from evos.errors import DataError
 from evos.mlp import MlpConfig
 from evos.records import Predictions
@@ -96,6 +98,10 @@ def test_checkpoint_round_trip(tmp_path, trained):
     assert gate.means.tobytes() == fitted.means.tobytes()
     assert gate.scale.tobytes() == fitted.scale.tobytes()
     assert np.float64(gate.onset).tobytes() == np.float64(fitted.onset).tobytes()
+    assert len(result.model.snapshots) == 2  # epochs 1 and 2 of 3
+    assert [s.flat.tobytes() for s in model.snapshots] == [
+        s.flat.tobytes() for s in result.model.snapshots
+    ]
 
 
 def test_checkpoint_round_trip_with_calibration(tmp_path, trained):
@@ -254,6 +260,46 @@ def test_reader_rejects_values_that_do_not_fit_their_field(case, tmp_path, train
     path.write_text(json.dumps(obj))
     with pytest.raises(DataError, match=match):
         load_checkpoint(path)
+
+
+# each edit of the snapshots -> the key the error names
+_BAD_SNAPSHOTS = {
+    "not-a-list": (lambda obj: obj.update(snapshots={}), r"snapshots: expected a list"),
+    "weight-of-wrong-shape": (
+        lambda obj: _set(obj, ("snapshots", 1, "weights", 1), encode_array(np.zeros((32, 3)))),
+        r"snapshots\[1\]\.weights\[1\] does not fit the layer sizes",
+    ),
+    "stray-key": (
+        lambda obj: obj["snapshots"][0].update(epoch=1), r"bad snapshots\[0\] schema.*unknown.*epoch"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SNAPSHOTS))
+def test_reader_rejects_snapshots_that_do_not_fit(case, tmp_path, trained, capsys):
+    path = _saved_checkpoint(tmp_path, trained)
+    edit, match = _BAD_SNAPSHOTS[case]
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    with pytest.raises(DataError, match=match):
+        load_checkpoint(path)
+    # eval reads the checkpoint before its test CSV, which is never reached
+    assert main(["eval", "--checkpoint", str(path), "--test-csv", str(tmp_path / "t.csv")]) == 3
+    assert re.search(match, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "extra", [["--epochs", "0"], ["--epochs", "3", "--snapshot-count", "0"]],
+    ids=["epochs-0", "snapshot-count-0"],
+)
+def test_train_without_snapshots_writes_an_empty_list(extra, tmp_path, capsys):
+    save_csv(gen_blobs(n_per_class=10, n_classes=2, seed=0), tmp_path / "train.csv")
+    out = tmp_path / "m.json"
+    assert main(["train", "--train-csv", str(tmp_path / "train.csv"), "--out", str(out), *extra]) == 0
+    assert json.loads(out.read_text())["snapshots"] == []
+    assert load_checkpoint(out)[0].snapshots == []
+    capsys.readouterr()
 
 
 def test_reader_rejects_non_json(tmp_path):

@@ -320,9 +320,34 @@ def test_train_writes_checkpoint_log_and_snapshots(model_path):
     assert tc.epochs == 30 and tc.objective == "tun"
     assert model.config.output_dim == 3
     assert len(fingerprint) == 64  # sha256 of the training csv
-    assert model_path.with_suffix(".log.jsonl").exists()
-    snaps = sorted(model_path.parent.glob("model.snap*.json"))
-    assert len(snaps) == 5
+    assert len(model.snapshots) == 5
+    # one file per model, and its training log
+    assert sorted(p.name for p in model_path.parent.iterdir()) == ["model.json", "model.log.jsonl"]
+
+
+def train_to(out, data_dir, *extra):
+    return run("train", "--train-csv", str(data_dir / "train.csv"), "--out", str(out), *extra)
+
+
+def eval_ensemble(ckpt, data_dir, *extra):
+    return run("eval", "--checkpoint", str(ckpt), "--test-csv", str(data_dir / "test.csv"),
+               "--method", "ensemble", *extra)
+
+
+def test_retrain_to_the_same_path_leaves_no_stale_snapshots(data_dir, tmp_path, capsys):
+    out = tmp_path / "model.json"
+    assert train_to(out, data_dir, "--epochs", "40") == 0
+    assert train_to(out, data_dir, "--epochs", "2") == 0  # one snapshot, at epoch 1
+    capsys.readouterr()
+    assert eval_ensemble(out, data_dir) == 3
+    assert "need >= 2 snapshots, got 1" in capsys.readouterr().err
+
+
+def test_ensemble_scores_a_checkpoint_under_a_glob_pattern_path(data_dir, tmp_path, capsys):
+    out = tmp_path / "r[1]" / "standard.json"
+    assert train_to(out, data_dir, "--epochs", "10", "--objective", "standard_ce") == 0
+    assert eval_ensemble(out, data_dir) == 0
+    assert "unthresholded: acc" in capsys.readouterr().out
 
 
 def test_train_epochs_zero_gives_loadable_checkpoint(data_dir, tmp_path):
@@ -647,6 +672,39 @@ def run_compare(cmp_dir, data_dir, *extra):
         str(data_dir / "ood_ring.csv"),
         *extra,
     )
+
+
+def test_calibrate_keeps_the_snapshots_and_the_ensemble_report(
+    cmp_dir, data_dir, tmp_path, capsys
+):
+    ckpt = tmp_path / "standard.json"
+    shutil.copyfile(cmp_dir / "standard.json", ckpt)
+    before = [s.flat.tobytes() for s in load_checkpoint(ckpt)[0].snapshots]
+    assert eval_ensemble(ckpt, data_dir, "--report", str(tmp_path / "r1.json")) == 0
+    assert run("calibrate", "--checkpoint", str(ckpt), "--val-csv", str(data_dir / "val.csv"),
+               "--method", "ensemble") == 0
+    model, _, _, cal = load_checkpoint(ckpt)
+    assert cal is not None and len(before) == 5
+    assert [s.flat.tobytes() for s in model.snapshots] == before
+    assert eval_ensemble(ckpt, data_dir, "--report", str(tmp_path / "r2.json")) == 0
+    r1, r2 = (json.loads((tmp_path / r).read_text()) for r in ("r1.json", "r2.json"))
+    assert r1["sections"] == r2["sections"]
+    capsys.readouterr()
+
+
+def test_compare_needs_two_snapshots_before_it_scores(
+    cmp_dir, data_dir, tmp_path, capsys, monkeypatch
+):
+    one = tmp_path / "cmp"
+    shutil.copytree(cmp_dir, one)
+    model, tc, fingerprint, _ = load_checkpoint(one / "standard.json")
+    model.snapshots = model.snapshots[:1]
+    save_checkpoint(one / "standard.json", model, tc, fingerprint)
+    scored = []
+    monkeypatch.setattr(baselines, "score_method", lambda *a, **k: scored.append(a))
+    assert run_compare(one, data_dir) == 3
+    assert "holds 1 snapshots, ensemble needs >= 2" in capsys.readouterr().err
+    assert scored == []
 
 
 def test_compare_full_run(cmp_dir, data_dir, tmp_path, capsys):

@@ -42,8 +42,6 @@ def test_config_rejects_bad_dims():
         MlpConfig(input_dim=2, output_dim=3, hidden_dims=(0,))
     with pytest.raises(ValueError):
         MlpConfig(input_dim=2, output_dim=3, dropout_rate=1.0)
-    with pytest.raises(ValueError):
-        MlpConfig(input_dim=2, output_dim=3, activation="tanh")
 
 
 def test_init_deterministic():

@@ -201,7 +201,7 @@ def test_epochs_zero_returns_initialized_model(separable):
     net = MlpConfig(input_dim=2, output_dim=2, seed=1)
     result = train(separable, None, cfg, net)
     assert result.log == []
-    assert result.snapshots == []
+    assert result.model.snapshots == []
     expect = init_params(net)
     for a, b in zip(result.model.params.weights, expect.weights):
         assert np.array_equal(a, b)
@@ -258,11 +258,14 @@ def test_snapshots_collected_and_distinct(separable):
     cfg = TrainConfig(epochs=20, snapshot_count=3, seed=3)
     net = MlpConfig(input_dim=2, output_dim=2, seed=3)
     result = train(separable, None, cfg, net)
-    assert result.snapshot_epochs == snapshot_epochs(20, 3)
-    assert len(result.snapshots) == 3
+    snapshots = result.model.snapshots
+    assert len(snapshots) == len(snapshot_epochs(20, 3)) == 3
     # snapshots are copies, not views of the live parameters
     final = result.model.params.weights[0]
-    assert not np.array_equal(result.snapshots[0].weights[0], final)
+    assert not np.array_equal(snapshots[0].weights[0], final)
+    # in training order: the first holds the parameters after epoch 10
+    short = train(separable, None, TrainConfig(epochs=11, snapshot_count=3, seed=3), net)
+    assert snapshots[0].flat.tobytes() == short.model.params.flat.tobytes()
 
 
 def test_train_deterministic(separable):
@@ -350,7 +353,9 @@ def test_training_bit_identical_to_per_step_loss(objective, dropout_rate):
     result = train(ds, val, cfg, net)
     params, snapshots, log = _train_with_per_step_loss(ds, val, cfg, net)
     assert result.model.params.flat.tobytes() == params.flat.tobytes()
-    assert [s.flat.tobytes() for s in result.snapshots] == [s.flat.tobytes() for s in snapshots]
+    assert [s.flat.tobytes() for s in result.model.snapshots] == [
+        s.flat.tobytes() for s in snapshots
+    ]
     assert result.log == log
 
 
