@@ -385,11 +385,14 @@ def cmd_compare(args) -> int:
             row["ood_detection_rate"] = ood_detection_rate(u_all, cal.threshold)
         return row, elapsed / len(test_set)
 
-    # The methods run concurrently: numpy releases the GIL in matmul, the
-    # ufunc loops and the RNG fills.  Results are taken in method order, so
-    # the first failing method's error is the one raised.
+    # The methods run concurrently (numpy releases the GIL in matmul, the ufunc
+    # loops and the RNG fills), handed out most passes first so that no worker
+    # idles at the end.  Results are taken in method order, so the first
+    # failing method's error is the one raised.
+    passes = {"mc_drop": args.passes, "tta": args.passes, "ensemble": n}
     with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
-        results = list(pool.map(score, methods))
+        jobs = {m: pool.submit(score, m) for m in sorted(methods, key=lambda m: -passes.get(m, 1))}
+        results = [jobs[m].result() for m in methods]
     rows = {m: row for m, (row, _) in zip(methods, results)}
     timing = {m: t for m, (_, t) in zip(methods, results)}
 

@@ -224,13 +224,13 @@ def _alpha_loss(kind: str, a, y, schedule: Schedule, grad: bool = False):
         raise ValueError(f"unknown loss kind {kind!r}")
     a_hat = _adjust(a, y)
     s, total = a.sum(axis=-1, keepdims=True), a_hat.sum(axis=-1, keepdims=True)
-    b = _Shared(a, y, s, a_hat, total, schedule)
     stacked = np.concatenate([a, s, total], axis=-1)
     if grad:
-        b = b._replace(tri=_trigamma(stacked))
+        b = _Shared(a, y, s, a_hat, total, schedule, tri=_trigamma(stacked))
     else:
-        b = b._replace(psi=_digamma(stacked), lg=_log_gamma(np.concatenate([a_hat, total], -1)))
-    return reduce(operator.add, (term(b, grad) for term in terms))
+        b = _Shared(a, y, s, a_hat, total, schedule, psi=_digamma(stacked),
+                    lg=_log_gamma(np.concatenate([a_hat, total], -1)))
+    return reduce(operator.add, [term(b, grad) for term in terms])
 
 
 def _checked(kind: str, alpha, y, schedule: Schedule):

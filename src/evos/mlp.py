@@ -228,31 +228,30 @@ def infer(
     return out
 
 
-def backward(trace: ForwardTrace, params: MlpParams, grad_out: np.ndarray) -> MlpParams:
-    """Backpropagate d(loss)/d(outputs) to parameter gradients."""
+def backward(trace: ForwardTrace, params: MlpParams, grad_out: np.ndarray, out=None) -> MlpParams:
+    """Backpropagate d(loss)/d(outputs) to parameter gradients in ``out`` (new when None)."""
     if len(trace.pre_activations) != len(params.weights):
         raise ValueError("backward: trace does not match params")
     g = np.asarray(grad_out, dtype=np.float64)
     if g.shape != trace.pre_activations[-1].shape:
         raise ValueError("backward: grad_out shape does not match the forward pass")
-    n_layers = len(params.weights)
-    grad_w = [np.empty(0)] * n_layers
-    grad_b = [np.empty(0)] * n_layers
+    if out is None:
+        out = params.copy()
     delta = g
-    for i in range(n_layers - 1, -1, -1):
+    for i in range(len(params.weights) - 1, -1, -1):
         below = trace.inputs if i == 0 else trace.activations[i - 1]
-        grad_w[i] = below.T @ delta
-        grad_b[i] = delta.sum(axis=0)
+        np.matmul(below.T, delta, out=out.weights[i])
+        np.add.reduce(delta, axis=0, out=out.biases[i])
         if i > 0:
-            da = delta @ params.weights[i].T
+            delta = delta @ params.weights[i].T
             if trace.masks is not None:
-                da = da * trace.masks[i - 1]
-            delta = da * (trace.pre_activations[i - 1] > 0.0)
-    return MlpParams(weights=grad_w, biases=grad_b)
+                delta *= trace.masks[i - 1]
+            delta *= trace.pre_activations[i - 1] > 0.0
+    return out
 
 
 def check_finite(grads: MlpParams):
     """Raise NumericError if any gradient entry is NaN/Inf."""
-    if not np.all(np.isfinite(grads.flat)):
+    if not np.isfinite(grads.flat).all():
         raise NumericError("non-finite gradient")
 

@@ -79,19 +79,23 @@ def adam_step(
     learning_rate: float,
     weight_decay: float = 0.0,
 ) -> tuple[mlp.MlpParams, AdamState]:
-    """One Adam update (in place).  Weight decay is added to the gradient
-    (L2 style).  Raises NumericError on NaN/Inf gradients."""
+    """One Adam update, in place on ``params`` and ``state``.  Weight decay is
+    added to the gradient (L2 style).  Raises NumericError on NaN/Inf gradients."""
     mlp.check_finite(grads)
     state.step += 1
     c1 = 1.0 - ADAM_BETA1**state.step
     c2 = 1.0 - ADAM_BETA2**state.step
-    m, v = state.m, state.v
-    g = grads.flat + weight_decay * params.flat
+    m, v, p = state.m, state.v, params.flat
+    g = weight_decay * p
+    g += grads.flat
+    step = (1.0 - ADAM_BETA1) * g
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * g
+    m += step
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * (g * g)
-    params.flat -= learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    v += np.multiply(1.0 - ADAM_BETA2, np.multiply(g, g, out=g), out=g)
+    np.multiply(learning_rate, np.divide(m, c1, out=step), out=step)
+    step /= np.add(np.sqrt(np.divide(v, c2, out=g), out=g), ADAM_EPS, out=g)
+    p -= step
     return params, state
 
 
@@ -153,29 +157,30 @@ def train(
         model=Model(config=net, params=params, objective=cfg.objective)
     )
     n = len(train_set)
-    epoch_logits = np.empty((n, net.output_dim))  # row i: sample order[i] at its step
+    grads = params.copy()  # the gradient buffer each backward overwrites
+    xs, ys = np.empty((n, train_set.dim)), np.empty_like(y_all)  # rows in step order
+    epoch_logits = np.empty((n, net.output_dim))  # row i: xs[i]'s logits at its step
     for epoch in range(cfg.epochs):
         schedule = losses.Schedule.for_epoch(epoch, cfg.anneal_epochs)
         rng = np.random.default_rng((cfg.seed, epoch))
         order = rng.permutation(n)
+        np.take(train_set.features, order, axis=0, out=xs)
+        np.take(y_all, order, axis=0, out=ys)
         for start in range(0, n, cfg.batch_size):
-            sel = order[start : start + cfg.batch_size]
-            xb, yb = train_set.features[sel], y_all[sel]
-            masks = (
-                mlp.make_dropout_masks(net, len(sel), rng)
-                if net.dropout_rate > 0
-                else None
-            )
+            rows = slice(start, start + cfg.batch_size)
+            xb, yb = xs[rows], ys[rows]
+            masks = mlp.make_dropout_masks(net, len(xb), rng) if net.dropout_rate > 0 else None
             logits, trace = mlp.forward(params, xb, dropout_masks=masks)
-            if not np.all(np.isfinite(logits)):
+            if not np.isfinite(logits).all():
                 raise NumericError(f"training diverged at epoch {epoch}: non-finite logits")
             grad_out = losses.logit_grad(cfg.objective, logits, yb, schedule)
-            grads = mlp.backward(trace, params, grad_out)
-            params, state = adam_step(
-                params, grads, state, cfg.learning_rate, cfg.weight_decay
-            )
-            epoch_logits[start : start + len(sel)] = logits
-        loss = _epoch_loss(cfg, schedule, epoch_logits, y_all, order)
+            mlp.backward(trace, params, grad_out, out=grads)
+            try:
+                adam_step(params, grads, state, cfg.learning_rate, cfg.weight_decay)
+            except NumericError as e:
+                raise NumericError(f"training diverged at epoch {epoch}: {e}") from e
+            epoch_logits[rows] = logits
+        loss = _epoch_loss(cfg, schedule, epoch_logits, ys)
         if not np.isfinite(loss):
             raise NumericError(f"training diverged at epoch {epoch}: loss={loss}")
         record = {
@@ -189,29 +194,32 @@ def train(
         result.log.append(record)
         if epoch in snap_at:
             result.model.snapshots.append(params.copy())
-    del epoch_logits  # the gate fit below holds several arrays of that size
+    del epoch_logits, xs, ys  # the gate fit below holds several arrays of that size
     if result.model.is_evidential:
         logits = mlp.infer(params, train_set.features)
         result.model.gate = EvidenceGate.fit(logits, train_set.labels)
     return result
 
 
-def _epoch_loss(cfg: TrainConfig, schedule, logits, y_all, order) -> float:
-    """The mean over the epoch's batches of each batch's mean loss.  Runs in
-    chunks of whole batches of at most ``mlp.BLOCK_ROWS`` rows (or one
-    batch) to bound memory; a row's loss does not depend on its chunk."""
+def _epoch_loss(cfg: TrainConfig, schedule, logits, y) -> float:
+    """The mean over the epoch's batches of each batch's mean loss, rows in
+    step order.  Runs in chunks of whole batches of at most ``mlp.BLOCK_ROWS``
+    rows (or one batch) to bound memory; a row's loss ignores its chunk."""
     size = cfg.batch_size
     chunk = max(1, mlp.BLOCK_ROWS // size) * size
     means = []
-    for lo in range(0, len(order), chunk):
+    for lo in range(0, len(y), chunk):
         rows = slice(lo, lo + chunk)
-        per = losses.logit_losses(cfg.objective, logits[rows], y_all[order[rows]], schedule)
-        means += [float(np.mean(per[i : i + size])) for i in range(0, len(per), size)]
-    return float(np.mean(means))
+        per = losses.logit_losses(cfg.objective, logits[rows], y[rows], schedule)
+        full = len(per) // size * size
+        means.append(per[:full].reshape(-1, size).mean(axis=1))
+        if full < len(per):  # the epoch's short last batch
+            means.append(per[full:].mean(keepdims=True))
+    return float(np.mean(np.concatenate(means)))
 
 
 def _check_logits(logits: np.ndarray) -> None:
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise NumericError("non-finite logits")
 
 
@@ -279,5 +287,10 @@ def predict_records(model: Model, ds: Dataset) -> Predictions:
 
 
 def accuracy(model: Model, ds: Dataset) -> float:
-    recs = predict_records(model, ds)
-    return float(np.mean(recs.predicted == recs.labels))
+    """Share of rows whose label is ``predict_records``' class, without its u."""
+    if model.is_evidential:
+        alpha = evidential_alpha(model, ds.features)
+        probs = alpha / _row_sum(alpha)[:, None]
+    else:
+        probs = predict(model, ds.features)
+    return float(np.mean(np.argmax(probs, axis=-1) == ds.labels))

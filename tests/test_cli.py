@@ -764,6 +764,33 @@ def test_compare_raises_the_first_failing_method_in_method_order(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("methods, extra, handed_out", [
+    ("uios,entropy,mc_drop,ensemble,tta", [], ["mc_drop", "tta", "ensemble", "uios", "entropy"]),
+    ("uios,entropy,mc_drop,ensemble,tta", ["--passes", "3"],
+     ["ensemble", "mc_drop", "tta", "uios", "entropy"]),
+    ("entropy,tta,uios", [], ["tta", "entropy", "uios"]),
+])
+def test_compare_hands_out_the_costliest_method_first(
+    methods, extra, handed_out, cmp_dir, data_dir, capsys, monkeypatch
+):
+    # one worker runs the methods in the order they are handed out; the
+    # table keeps --methods order.  Costs: passes for mc_drop and tta, the
+    # 5 snapshots for ensemble, 1 otherwise
+    real, started = baselines.score_method, []
+
+    def recorded(method, *args, **kwargs):
+        if method not in started:
+            started.append(method)
+        return real(method, *args, **kwargs)
+
+    monkeypatch.setattr(baselines, "score_method", recorded)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert run_compare(cmp_dir, data_dir, "--methods", methods, *extra) == 0
+    assert started == handed_out
+    table = capsys.readouterr().out.splitlines()[1:]
+    assert [line.split()[0] for line in table] == methods.split(",")
+
+
 def test_compare_leaves_no_thread_running(cmp_dir, data_dir, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 5)
     before = threading.active_count()

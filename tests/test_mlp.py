@@ -370,6 +370,21 @@ def test_dropout_zero_mask_kills_hidden_layer():
     assert_allclose(out, np.repeat(p.biases[-1][None, :], 5, axis=0), atol=1e-15)
 
 
+def test_backward_fills_the_buffer_it_is_given():
+    cfg = small_config(hidden_dims=(5, 6), dropout_rate=0.5, seed=2)
+    p = init_params(cfg)
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(7, 2))
+    out, trace = forward(p, x, dropout_masks=make_dropout_masks(cfg, 7, rng))
+    grad_out = rng.normal(size=out.shape)
+    kept = grad_out.copy()
+    fresh = backward(trace, p, grad_out)
+    buf = init_params(small_config(hidden_dims=(5, 6), seed=9))
+    assert backward(trace, p, grad_out, out=buf) is buf
+    assert buf.flat.tobytes() == fresh.flat.tobytes()
+    assert grad_out.tobytes() == kept.tobytes()
+
+
 def test_backward_replays_dropout_masks():
     # gradients with a fixed mask must match finite differences of the
     # masked forward computation

@@ -3,13 +3,17 @@ schedule logging, snapshots, determinism, and prediction semantics."""
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from evos import losses
+from evos import losses, mlp, training
 from evos.data import Dataset, gen_blobs, one_hot, split_622
 from evos.errors import DataError, NumericError
 from evos.head import EvidenceGate, SubjectiveOpinion
@@ -295,17 +299,38 @@ def test_dropout_changes_training_but_stays_deterministic(separable):
 # per epoch
 
 
+def _backward_allocating(trace, params, grad_out):
+    """Backprop as plain NumPy that allocates every array: each layer's weight
+    and bias gradients, packed like ``MlpParams.flat``."""
+    n_layers = len(params.weights)
+    grad_w, grad_b = [None] * n_layers, [None] * n_layers
+    delta = grad_out
+    for i in range(n_layers - 1, -1, -1):
+        below = trace.inputs if i == 0 else trace.activations[i - 1]
+        grad_w[i] = below.T @ delta
+        grad_b[i] = delta.sum(axis=0)
+        if i > 0:
+            da = delta @ params.weights[i].T
+            if trace.masks is not None:
+                da = da * trace.masks[i - 1]
+            delta = da * (trace.pre_activations[i - 1] > 0.0)
+    return np.concatenate([a.ravel() for a in (*grad_w, *grad_b)])
+
+
 def _train_with_per_step_loss(train_set, val_set, cfg, net):
     """``train``'s loop as it ran with the loss value computed at each step:
     the batch mean of ``per_sample_loss`` on the pre-update alpha, and the
     gradient ``loss_grad_alpha * sigmoid(logits) / n`` (softmax
-    cross-entropy for ``standard_ce``).  Returns (params, snapshots, log)."""
+    cross-entropy for ``standard_ce``).  Each batch is gathered from the
+    dataset; backprop, Adam and the validation accuracy are the plain forms
+    ``_backward_allocating``, ``_adam_per_array`` (on the one flat vector) and
+    ``predict_records``.  Returns (params, snapshots, log)."""
     params = init_params(net)
-    state = AdamState.zeros_like(params)
+    m, v = np.zeros_like(params.flat), np.zeros_like(params.flat)
     model = Model(config=net, params=params, objective=cfg.objective)
     y_all = one_hot(train_set.labels, train_set.n_classes)
     snap_at = set(snapshot_epochs(cfg.epochs, cfg.snapshot_count))
-    snapshots, log = [], []
+    snapshots, log, step = [], [], 0
     for epoch in range(cfg.epochs):
         schedule = Schedule.for_epoch(epoch, cfg.anneal_epochs)
         rng = np.random.default_rng((cfg.seed, epoch))
@@ -325,14 +350,16 @@ def _train_with_per_step_loss(train_set, val_set, cfg, net):
                 grad_alpha = loss_grad_alpha(cfg.objective, alpha, yb, schedule)
                 grad_out = grad_alpha * sigmoid(logits) / len(sel)
             epoch_losses.append(float(np.mean(per)))
-            grads = backward(trace, params, grad_out)
-            adam_step(params, grads, state, cfg.learning_rate, cfg.weight_decay)
+            step += 1
+            _adam_per_array([params.flat], [_backward_allocating(trace, params, grad_out)],
+                            [m], [v], step, cfg.learning_rate, cfg.weight_decay)
+        recs = predict_records(model, val_set)
         record = {
             "epoch": epoch,
             "loss": float(np.mean(epoch_losses)),
             "kl_weight": schedule.kl_weight,
             "temperature": schedule.temperature,
-            "val_accuracy": accuracy(model, val_set),
+            "val_accuracy": float(np.mean(recs.predicted == recs.labels)),
         }
         log.append(record)
         if epoch in snap_at:
@@ -357,6 +384,62 @@ def test_training_bit_identical_to_per_step_loss(objective, dropout_rate):
         s.flat.tobytes() for s in snapshots
     ]
     assert result.log == log
+
+
+def test_training_bit_identity_holds_under_a_second_blas_kernel():
+    # under OpenBLAS's Haswell kernels a row's product bits depend on the
+    # shape of its matrix; a child process selects them in its own environment
+    root = Path(__file__).resolve().parents[1]
+    path = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": os.pathsep.join(path)}
+    test = f"{Path(__file__).name}::test_training_bit_identical_to_per_step_loss"
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+                          cwd=Path(__file__).parent, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "6 passed" in proc.stdout
+
+
+@pytest.mark.parametrize("epochs", [3, 7])
+def test_a_run_builds_a_fixed_number_of_parameter_sets(epochs, monkeypatch):
+    # the parameters, the gradient buffer and one per snapshot, however many
+    # steps run; and forward, backward and Adam once per step
+    built, calls = [], {"forward": 0, "backward": 0, "adam_step": 0}
+    post_init = MlpParams.__post_init__
+
+    def counted_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(MlpParams, "__post_init__", counted_init)
+    for owner, name in ((mlp, "forward"), (mlp, "backward"), (training, "adam_step")):
+        def counted(*args, real=getattr(owner, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    ds = gen_blobs(n_per_class=690, n_classes=3, seed=5)  # 2,070 rows: 42 steps of 50
+    val = gen_blobs(n_per_class=30, n_classes=3, seed=6)
+    net = MlpConfig(input_dim=2, output_dim=3, dropout_rate=0.25, seed=5)
+    cfg = TrainConfig(epochs=epochs, batch_size=50, seed=5, snapshot_count=2)
+    model = train(ds, val, cfg, net).model
+    assert len(model.snapshots) == 2
+    assert len(built) == 2 + 2
+    assert calls == {"forward": 42 * epochs, "backward": 42 * epochs, "adam_step": 42 * epochs}
+
+
+def test_a_non_finite_gradient_names_its_epoch(monkeypatch):
+    real = losses.logit_grad
+
+    def nan_in_epoch_1(kind, logits, y, schedule):
+        grad = real(kind, logits, y, schedule)
+        return np.full_like(grad, np.nan) if schedule.epoch == 1 else grad
+
+    monkeypatch.setattr(losses, "logit_grad", nan_in_epoch_1)
+    ds = gen_blobs(n_per_class=40, n_classes=2, seed=0)
+    with pytest.raises(NumericError) as info:
+        train(ds, None, TrainConfig(epochs=3, seed=0))
+    assert str(info.value) == "training diverged at epoch 1: non-finite gradient"
+    assert str(info.value.__cause__) == "non-finite gradient"
 
 
 def test_kernels_run_once_per_step_and_once_per_epoch_chunk(monkeypatch):
