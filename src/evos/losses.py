@@ -24,10 +24,15 @@ T = sum alpha_hat and e = alpha - 1:
 
 The KL term penalizes only misleading (off-class) evidence.  The two
 columns are computed apart, because training needs them at different
-rates.  The gradient path (``logit_grad``) runs every step and calls one
-psi' kernel on [alpha | S | T].  The value path (``logit_losses``) feeds
-the logged epoch loss; it calls one psi kernel on the same columns and one
-log-gamma kernel on [alpha_hat | T].
+rates.  The gradient path (``logit_grad`` through ``loss_grad_alpha``) runs
+every step and calls ``numerics.trigamma`` once on [alpha | S | T].  The
+value path (``logit_losses`` through ``per_sample_loss``) feeds the logged
+epoch loss; it calls ``digamma`` once on the same columns and ``log_gamma``
+once on [alpha_hat | T].
+
+Both paths are unchecked kernels.  Validation happens at the boundaries:
+the labels in ``data.one_hot``, the temperature in ``Schedule.for_epoch``,
+the objective in ``TrainConfig``; alpha = softplus(logits) + 1 is >= 1.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import _digamma, _log_gamma, _trigamma, log_gamma, sigmoid, softmax, softplus
+from .numerics import digamma, log_gamma, sigmoid, softmax, softplus, trigamma
 
 PROB_FLOOR = 1e-12  # clamp for logs of probabilities / beliefs
 
@@ -71,24 +76,9 @@ class Schedule:
         )
 
 
-def _check_pair(a: np.ndarray, y: np.ndarray):
-    if a.shape != y.shape:
-        raise ValueError("alpha and one-hot labels must have the same shape")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite alpha")
-    rows = y.sum(axis=-1)
-    if not np.allclose(rows, 1.0) or np.any((y != 0.0) & (y != 1.0)):
-        raise ValueError("labels must be one-hot")
-
-
-def _check_temperature(temperature: float):
-    if not 0.0 < temperature <= 1.0:
-        raise ValueError("temperature must be in (0, 1]")
-
-
 def per_sample_loss(kind: str, alpha, y, schedule: Schedule):
-    """Per-sample loss of ``kind``, one of LOSS_KINDS."""
-    return _alpha_loss(kind, *_checked(kind, alpha, y, schedule), schedule)
+    """Per-sample loss of ``kind``, one of LOSS_KINDS, on alpha-space arrays."""
+    return _alpha_loss(kind, alpha, y, schedule)
 
 
 def loss_grad_alpha(kind: str, alpha, y, schedule: Schedule):
@@ -97,7 +87,7 @@ def loss_grad_alpha(kind: str, alpha, y, schedule: Schedule):
     Matches the corresponding ``per_sample_loss`` entry exactly (same
     clamping), so central finite differences agree away from clamp edges.
     """
-    return _alpha_loss(kind, *_checked(kind, alpha, y, schedule), schedule, grad=True)
+    return _alpha_loss(kind, alpha, y, schedule, grad=True)
 
 
 def logit_grad(kind: str, logits, y, schedule: Schedule):
@@ -105,21 +95,20 @@ def logit_grad(kind: str, logits, y, schedule: Schedule):
     only loss work.
 
     ``kind`` is ``standard_ce`` (cross-entropy on softmax(logits)) or one of
-    LOSS_KINDS on alpha = softplus(logits) + 1.  Inputs are not checked: the
-    trainer's labels come from ``data.one_hot``, which validates them.
+    LOSS_KINDS on alpha = softplus(logits) + 1.
     """
     n = len(logits)
     if kind == "standard_ce":
         return (softmax(logits) - y) / n
-    return _alpha_loss(kind, softplus(logits) + 1.0, y, schedule, grad=True) * sigmoid(logits) / n
+    return loss_grad_alpha(kind, softplus(logits) + 1.0, y, schedule) * sigmoid(logits) / n
 
 
 def logit_losses(kind: str, logits, y, schedule: Schedule):
     """Per-sample loss of each row of logits, the objective whose batch mean
-    ``logit_grad`` differentiates.  Unchecked, like ``logit_grad``."""
+    ``logit_grad`` differentiates."""
     if kind == "standard_ce":
         return _ce_value(softmax(logits), y)
-    return _alpha_loss(kind, softplus(logits) + 1.0, y, schedule)
+    return per_sample_loss(kind, softplus(logits) + 1.0, y, schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +205,9 @@ LOSS_KINDS = tuple(_KINDS)
 
 
 def _alpha_loss(kind: str, a, y, schedule: Schedule, grad: bool = False):
-    """Per-sample loss of ``kind``, or with ``grad`` its alpha-gradient; inputs
-    unchecked (alpha > 0).  One psi and one log-gamma kernel call serve all
-    value terms, and one psi' kernel call all gradient terms."""
+    """Per-sample loss of ``kind``, or with ``grad`` its alpha-gradient.  One
+    psi and one log-gamma kernel call serve all value terms, and one psi'
+    kernel call all gradient terms."""
     terms = _KINDS.get(kind)
     if terms is None:
         raise ValueError(f"unknown loss kind {kind!r}")
@@ -226,19 +215,9 @@ def _alpha_loss(kind: str, a, y, schedule: Schedule, grad: bool = False):
     s, total = a.sum(axis=-1, keepdims=True), a_hat.sum(axis=-1, keepdims=True)
     stacked = np.concatenate([a, s, total], axis=-1)
     if grad:
-        b = _Shared(a, y, s, a_hat, total, schedule, tri=_trigamma(stacked))
+        b = _Shared(a, y, s, a_hat, total, schedule, tri=trigamma(stacked))
     else:
-        b = _Shared(a, y, s, a_hat, total, schedule, psi=_digamma(stacked),
-                    lg=_log_gamma(np.concatenate([a_hat, total], -1)))
+        b = _Shared(a, y, s, a_hat, total, schedule, psi=digamma(stacked),
+                    lg=log_gamma(np.concatenate([a_hat, total], -1)))
     return reduce(operator.add, [term(b, grad) for term in terms])
 
-
-def _checked(kind: str, alpha, y, schedule: Schedule):
-    a = np.asarray(alpha, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _check_pair(a, y)
-    if np.any(a <= 0.0):
-        raise ValueError("alpha must be > 0")
-    if _tce in _KINDS.get(kind, ()):
-        _check_temperature(schedule.temperature)
-    return a, y

@@ -11,11 +11,11 @@ independent references:
   and psi'(x) = psi'(x+1) + 1/x^2, which lift every entry above 6 for the
   asymptotic (Bernoulli) series.
 
-The public functions validate their argument (finite, > 0), then call the
-unchecked kernels ``_log_gamma``, ``_digamma`` and ``_trigamma``.  The
-training loss calls them on stacked arrays: ``_trigamma`` once per step for
-the gradient, ``_digamma`` and ``_log_gamma`` once per epoch chunk for the
-logged loss value.
+These three are unchecked kernels: the argument must be finite and > 0,
+and nothing here checks it.  Their one caller is the training loss, which
+passes stacked arrays of alpha = softplus(logits) + 1 >= 1 and its sums:
+``trigamma`` once per step for the gradient, ``digamma`` and ``log_gamma``
+once per epoch chunk for the logged loss value.
 
 Reductions over the class axis (always the last one) go through
 ``_row_max`` and ``_row_sum``, which loop over the K columns.  For a few
@@ -112,34 +112,31 @@ def _lanczos_log_gamma(x: np.ndarray) -> np.ndarray:
     return _LN_SQRT_2PI + (z + 0.5) * np.log(t) - t + np.log(s)
 
 
-def _log_gamma(a: np.ndarray) -> np.ndarray:
-    # Unchecked: a must be finite and > 0.
+def log_gamma(x):
+    """ln Gamma(x) for x > 0, Lanczos approximation.
+
+    Relative error is at machine-precision level (well inside 1e-10)
+    over the positive reals we care about.  Unchecked: x must be finite
+    and > 0.
+    """
+    a, scalar = _asarray(x)
     small = a < 0.5
     if not small.any():
-        return _lanczos_log_gamma(a)
+        return _unwrap(_lanczos_log_gamma(a), scalar)
     # reflection: ln Gamma(x) = ln(pi / sin(pi x)) - ln Gamma(1 - x)
     out = np.empty_like(a)
     xs = a[small]
     out[small] = np.log(np.pi / np.sin(np.pi * xs)) - _lanczos_log_gamma(1.0 - xs)
     out[~small] = _lanczos_log_gamma(a[~small])
-    return out
+    return _unwrap(out, scalar)
 
 
-def log_gamma(x):
-    """ln Gamma(x) for x > 0, Lanczos approximation.
+def digamma(x):
+    """psi(x) = d/dx ln Gamma(x) for x > 0.  Absolute error < 1e-12.
 
-    Relative error is at machine-precision level (well inside 1e-10)
-    over the positive reals we care about.
+    Unchecked: x must be finite and > 0.  The 0/1 step mask leaves entries
+    already >= 6 bit for bit (y - 0/a == y, a + 0 == a), whatever the rest.
     """
-    a, scalar = _asarray(x)
-    if np.any(a <= 0.0) or not np.all(np.isfinite(a)):
-        raise ValueError("log_gamma: argument must be finite and > 0")
-    return _unwrap(_log_gamma(a), scalar)
-
-
-def _digamma(x: np.ndarray) -> np.ndarray:
-    # Unchecked: x must be finite and > 0.  The 0/1 step mask leaves entries
-    # already >= 6 bit for bit (y - 0/a == y, a + 0 == a), whatever the rest.
     a = np.array(x, dtype=np.float64)
     psi = np.zeros_like(a)
     low = a < 6.0
@@ -152,11 +149,14 @@ def _digamma(x: np.ndarray) -> np.ndarray:
     h = _PSI_SERIES[0]
     for c in _PSI_SERIES[1:]:
         h = c - i2 * h
-    return psi + np.log(a) - 0.5 / a - i2 * h
+    return _unwrap(psi + np.log(a) - 0.5 / a - i2 * h, a.ndim == 0)
 
 
-def _trigamma(x: np.ndarray) -> np.ndarray:
-    # Unchecked, and entry by entry like ``_digamma``.
+def trigamma(x):
+    """psi'(x), the derivative of digamma, for x > 0.  Absolute error < 1e-12.
+
+    Unchecked, and entry by entry like ``digamma``.
+    """
     a = np.array(x, dtype=np.float64)
     tri = np.zeros_like(a)
     low = a < 6.0
@@ -169,23 +169,7 @@ def _trigamma(x: np.ndarray) -> np.ndarray:
     h = _TRI_SERIES[0]
     for c in _TRI_SERIES[1:]:
         h = c - i2 * h
-    return tri + 1.0 / a + 0.5 * i2 + i2 / a * h
-
-
-def digamma(x):
-    """psi(x) = d/dx ln Gamma(x) for x > 0.  Absolute error < 1e-12."""
-    a, scalar = _asarray(x)
-    if np.any(a <= 0.0) or not np.all(np.isfinite(a)):
-        raise ValueError("digamma: argument must be finite and > 0")
-    return _unwrap(_digamma(a), scalar)
-
-
-def trigamma(x):
-    """psi'(x), the derivative of digamma, for x > 0.  Absolute error < 1e-12."""
-    a, scalar = _asarray(x)
-    if np.any(a <= 0.0) or not np.all(np.isfinite(a)):
-        raise ValueError("trigamma: argument must be finite and > 0")
-    return _unwrap(_trigamma(a), scalar)
+    return _unwrap(tri + 1.0 / a + 0.5 * i2 + i2 / a * h, a.ndim == 0)
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:

@@ -6,6 +6,10 @@ some of them from a positional or keyword argument.  A prune that drops or
 renames one of them breaks ``perfbench/run.py --trace 1``; this test makes it
 fail here instead.  ``perfbench/workloads.py`` also calls into evos
 directly, by module attribute and keyword; the same holds for those names.
+
+A traced name must also be one that runs: a function nothing calls reads 0
+calls on every workload, so each target needs a caller in ``src/`` or in
+``perfbench/workloads.py``, and a traced training pins the loss rows.
 """
 
 import ast
@@ -15,16 +19,25 @@ import inspect
 from pathlib import Path
 
 import evos
+import evos.cli  # noqa: F401  the tracer binds names in every module of its table
+from evos import losses
+from evos.data import gen_blobs
+from evos.training import TrainConfig, train
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
+SRC = Path(evos.__file__).resolve().parent
 
 
-def tracer_targets() -> dict:
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.TARGETS
+    return tracer
+
+
+def tracer_targets() -> dict:
+    return load_tracer().TARGETS
 
 
 def test_tracer_targets_resolve_with_their_row_arguments():
@@ -100,3 +113,47 @@ def test_workload_calls_resolve_with_their_keywords():
             continue
         problems += [f"{name}: no keyword {k}" for k in sorted(keywords - set(params))]
     assert not problems, problems
+
+
+def test_every_traced_name_has_a_caller():
+    """A name is live if ``src/`` refers to it outside its own definition, or
+    the workloads use it.  Name references are matched by the bare name, as
+    ``digamma`` or ``.factor``, so a same-named attribute elsewhere counts."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    references = [
+        (id(node), getattr(node, "id", None) or getattr(node, "attr", None))
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    used = set(workload_uses())
+    dead = []
+    for module, funcs in tracer_targets().items():
+        for qualname in funcs:
+            scope = trees[module]
+            for part in qualname.split("."):
+                scope = next(n for n in scope.body if getattr(n, "name", None) == part)
+            own = set(map(id, ast.walk(scope)))
+            if f"{module}.{qualname}" not in used and not any(
+                name == part and node not in own for node, name in references
+            ):
+                dead.append(f"{module}.{qualname}")
+    assert not dead, dead
+
+
+def test_traced_training_reads_the_loss_kernels_it_runs():
+    tracer = load_tracer()
+    ds = gen_blobs(n_per_class=690, n_classes=3, seed=5)  # 2,070 rows: 42 steps of 50
+    losses._log_gamma_of.cache_clear()  # ln Gamma(K) is computed once, then cached
+    with tracer.Tracer() as t:
+        train(ds, None, TrainConfig(epochs=3, batch_size=50, objective="tun", seed=5))
+    stats = t.stats()
+    assert stats["numerics.trigamma.calls"] == stats["losses.loss_grad_alpha.calls"] == 3 * 42
+    # the epoch loss pass runs in two chunks: 2,000 and 70 rows
+    assert stats["numerics.digamma.calls"] == stats["losses.per_sample_loss.calls"] == 3 * 2
+    assert stats["numerics.log_gamma.calls"] == 3 * 2 + 1
+    with tracer.Tracer() as t:
+        train(ds, None, TrainConfig(epochs=3, batch_size=50, objective="standard_ce", seed=5))
+    kernels = {"numerics.trigamma", "numerics.digamma", "numerics.log_gamma",
+               "losses.per_sample_loss", "losses.loss_grad_alpha"}
+    assert not {name.rpartition(".")[0] for name in t.stats()} & kernels

@@ -235,13 +235,6 @@ def test_tempered_ce_clamps_zero_belief():
     assert val == pytest.approx(-math.log(1e-12), rel=1e-12)
 
 
-def test_tempered_ce_rejects_bad_temperature():
-    y = one_hot(0, 2)
-    for tau in (0.0, -0.5, 1.5):
-        with pytest.raises(ValueError):
-            per_sample_loss("tce", np.array([1.5, 1.2]), y, Schedule(epoch=0, temperature=tau))
-
-
 def test_tun_loss_composes_at_schedule_points():
     alpha = np.array([4.0, 2.0])
     y = one_hot(0, 2)
@@ -340,28 +333,15 @@ def test_per_sample_loss_vectorizes_over_batch():
 
 
 # ---------------------------------------------------------------------------
-# the validated entry points and the training objective on logits
+# the alpha-space entry points and the training objective on logits
 
 _GOOD_ALPHA, _GOOD_Y = np.array([[3.0, 1.5, 2.0]]), np.array([[0.0, 1.0, 0.0]])
 _BAD_INPUTS = [
     *(
-        pytest.param(kind, alpha, y, Schedule.for_epoch(5), id=f"{kind}-{what}")
+        pytest.param(kind, _GOOD_ALPHA, _GOOD_Y[:, :2], Schedule.for_epoch(5), id=f"{kind}-shape")
         for kind in LOSS_KINDS
-        for what, alpha, y in (
-            ("shape", _GOOD_ALPHA, _GOOD_Y[:, :2]),
-            ("non-finite", np.array([[3.0, np.nan, 2.0]]), _GOOD_Y),
-            ("non-positive", np.array([[3.0, 0.0, 2.0]]), _GOOD_Y),
-            ("soft-labels", _GOOD_ALPHA, np.array([[0.5, 0.5, 0.0]])),
-            ("two-hot", _GOOD_ALPHA, np.array([[1.0, 1.0, 0.0]])),
-        )
     ),
     pytest.param("bogus", _GOOD_ALPHA, _GOOD_Y, Schedule.for_epoch(5), id="unknown-kind"),
-    *(
-        pytest.param(kind, _GOOD_ALPHA, _GOOD_Y, Schedule(epoch=0, temperature=tau),
-                     id=f"{kind}-tau{tau}")
-        for kind in ("tce", "tun")
-        for tau in (0.0, -0.5, 1.5)
-    ),
 ]
 
 

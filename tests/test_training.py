@@ -443,7 +443,8 @@ def test_a_non_finite_gradient_names_its_epoch(monkeypatch):
 
 
 def test_kernels_run_once_per_step_and_once_per_epoch_chunk(monkeypatch):
-    rows = {"_trigamma": [], "_digamma": [], "_log_gamma": []}
+    losses._log_gamma_of(3)  # ln Gamma(K) is cached per K; only the array calls count here
+    rows = {"trigamma": [], "digamma": [], "log_gamma": []}
     for name, seen in rows.items():
         def counted(x, kernel=getattr(losses, name), seen=seen):
             seen.append(len(x))
@@ -453,12 +454,12 @@ def test_kernels_run_once_per_step_and_once_per_epoch_chunk(monkeypatch):
     ds = gen_blobs(n_per_class=690, n_classes=3, seed=5)  # 2,070 rows
     train(ds, None, TrainConfig(epochs=3, batch_size=50, objective="tun", seed=5))
     chunk = BLOCK_ROWS // 50 * 50
-    assert rows["_trigamma"] == ([50] * 41 + [20]) * 3
-    assert rows["_digamma"] == rows["_log_gamma"] == [chunk, 2070 - chunk] * 3
+    assert rows["trigamma"] == ([50] * 41 + [20]) * 3
+    assert rows["digamma"] == rows["log_gamma"] == [chunk, 2070 - chunk] * 3
     for seen in rows.values():
         seen.clear()
     train(ds, None, TrainConfig(epochs=3, batch_size=50, objective="standard_ce", seed=5))
-    assert rows == {"_trigamma": [], "_digamma": [], "_log_gamma": []}
+    assert rows == {"trigamma": [], "digamma": [], "log_gamma": []}
 
 
 def test_epoch_loss_pass_memory_is_bounded():
