@@ -52,11 +52,7 @@ class ThresholdCalibration:
 
 def wrong_labels(predicted: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """1 where the prediction disagrees with the label, else 0."""
-    predicted = np.asarray(predicted)
-    labels = np.asarray(labels)
-    if predicted.shape != labels.shape:
-        raise ValueError("wrong_labels: shape mismatch")
-    return (predicted != labels).astype(np.int64)
+    return (np.asarray(predicted) != np.asarray(labels)).astype(np.int64)
 
 
 def roc_sweep(
@@ -65,22 +61,20 @@ def roc_sweep(
     """TPR/FPR of the rule "flag iff u >= theta" over candidate thresholds.
 
     Candidates are the distinct observed uncertainties plus one sentinel
-    just above the maximum (the "flag nothing" operating point).  Requires
-    at least one wrong and one correct record; otherwise the rates are
-    undefined -> CalibrationError.
+    just above the maximum (the "flag nothing" operating point).  Unchecked:
+    u and ``wrong`` are a ``Predictions``' u and its ``wrong_labels``.  With no
+    wrong or no correct record the rates are undefined -> CalibrationError.
     """
     u = np.asarray(uncertainty, dtype=np.float64)
     w = np.asarray(wrong)
-    if u.shape != w.shape or u.ndim != 1 or len(u) == 0:
-        raise CalibrationError("roc_sweep: need matching 1-d uncertainty/wrong arrays")
-    if not np.all(np.isfinite(u)):
-        raise CalibrationError("roc_sweep: uncertainty must be finite")
     n_wrong = int(np.sum(w == 1))
     n_right = int(np.sum(w == 0))
     if n_wrong == 0 or n_right == 0:
         raise CalibrationError(
             f"roc_sweep: degenerate labels ({n_wrong} wrong, {n_right} correct); "
-            "both outcomes are required to trade off TPR against FPR"
+            "both outcomes are required to trade off TPR against FPR. With no "
+            "validation errors, use a harder validation set (e.g. larger sigma) "
+            "or fewer epochs"
         )
     candidates, inverse = np.unique(u, return_inverse=True)
     candidates = np.append(candidates, np.nextafter(candidates[-1], np.inf))
@@ -98,12 +92,11 @@ def select_threshold(
     fpr: np.ndarray,
     coefficient: float = 2.0,
 ) -> ThresholdCalibration:
-    """Pick the candidate maximizing coefficient * TPR - FPR (ties -> largest)."""
+    """Pick the candidate maximizing coefficient * TPR - FPR (ties -> largest).
+    Unchecked: the three arrays are a ``roc_sweep``'s."""
     candidates = np.asarray(candidates, dtype=np.float64)
     tpr = np.asarray(tpr, dtype=np.float64)
     fpr = np.asarray(fpr, dtype=np.float64)
-    if not (len(candidates) == len(tpr) == len(fpr)) or len(candidates) == 0:
-        raise CalibrationError("select_threshold: empty or mismatched sweep")
     objective = coefficient * tpr - fpr
     best = objective.max()
     # candidates are ascending, so the last argmax is the largest threshold

@@ -221,13 +221,8 @@ def cmd_calibrate(args) -> int:
     val_set = _load_labelled(args.val_csv, "val")
     method = _method(model, args)
     recs = _method_records(method, model, val_set, args)
-    n_wrong = int(np.sum(recs.predicted != recs.labels))
-    if n_wrong == 0:
-        raise DataError(
-            "calibrate: the model makes no validation errors, so no threshold can "
-            "be fit. Use a harder validation set (e.g. larger sigma) or fewer epochs."
-        )
     cal = calibrate(recs, coefficient=args.coefficient)
+    n_wrong = int(np.sum(recs.predicted != recs.labels))
     save_checkpoint(args.checkpoint, model, tc, fingerprint, calibration=cal)
     print(
         f"method {method}: threshold {cal.threshold:.6f} "

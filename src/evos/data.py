@@ -134,8 +134,6 @@ def gen_ood(
     sigma: float = 0.9,
     dim: int = 2,
     seed: int = 0,
-    ring_width: float = 1.0,
-    box_scale: float = 5.0,
 ) -> Dataset:
     """Out-of-distribution samples for a blob layout (see module docstring).
 
@@ -156,7 +154,7 @@ def gen_ood(
         inner = 3.0 * float(np.max(np.linalg.norm(centers, axis=1)))
         dirs = rng.standard_normal((n, dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        radii = rng.uniform(inner, inner + ring_width, size=n)
+        radii = rng.uniform(inner, inner + 1.0, size=n)
         feats = dirs * radii[:, None]
     elif kind == "far_cluster":
         margin = 10.0 * sigma
@@ -174,7 +172,7 @@ def gen_ood(
         lo = centers.min(axis=0) - 3.0 * sigma
         hi = centers.max(axis=0) + 3.0 * sigma
         mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-        big_lo, big_hi = mid - box_scale * half, mid + box_scale * half
+        big_lo, big_hi = mid - 5.0 * half, mid + 5.0 * half
         feats = np.empty((0, dim))
         while len(feats) < n:
             cand = rng.uniform(big_lo, big_hi, size=(2 * n, dim))
@@ -192,17 +190,13 @@ def gen_ood(
     )
 
 
-def split_622(
-    ds: Dataset, seed: int = 0, ratios: tuple[float, float, float] = (0.6, 0.2, 0.2)
-) -> tuple[Dataset, Dataset, Dataset]:
-    """Stratified train/val/test split, 6:2:2 by default.
+def split_622(ds: Dataset, seed: int = 0) -> tuple[Dataset, Dataset, Dataset]:
+    """Stratified train/val/test split, 6:2:2.
 
-    Every class is split in the given proportions (rounded), so per-class
+    Every class is split in these proportions (rounded), so per-class
     ratios stay within one sample of the global ones.  Classes with fewer
     than 3 samples cannot be split three ways -> DataError.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise DataError("split_622: ratios must sum to 1")
     rng = np.random.default_rng(seed)
     parts: list[list[np.ndarray]] = [[], [], []]
     for cls in np.unique(ds.labels):
@@ -212,8 +206,8 @@ def split_622(
                 f"split_622: class {cls} has only {len(idx)} samples, need >= 3"
             )
         idx = rng.permutation(idx)
-        c1 = round(ratios[0] * len(idx))
-        c2 = round((ratios[0] + ratios[1]) * len(idx))
+        c1 = round(0.6 * len(idx))
+        c2 = round(0.8 * len(idx))
         parts[0].append(idx[:c1])
         parts[1].append(idx[c1:c2])
         parts[2].append(idx[c2:])

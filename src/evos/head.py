@@ -34,10 +34,6 @@ class SubjectiveOpinion:
     probs: np.ndarray
     predicted_class: np.ndarray  # int, argmax of probs (ties -> lowest index)
 
-    @property
-    def n_classes(self) -> int:
-        return self.beliefs.shape[-1]
-
 
 def opinion_from_alpha(alpha) -> SubjectiveOpinion:
     """Project Dirichlet concentrations alpha >= 1 onto the opinion simplex."""

@@ -38,8 +38,7 @@ def confusion_matrix(predicted: np.ndarray, labels: np.ndarray, n_classes: int) 
     """(K, K) count matrix; rows = true class, cols = predicted class."""
     predicted = np.asarray(predicted, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
-    if predicted.shape != labels.shape:
-        raise ValueError("confusion_matrix: shape mismatch")
+    # a CSV may hold more classes than the model
     for name, idx in (("labels", labels), ("predictions", predicted)):
         if idx.size and (idx.min() < 0 or idx.max() >= n_classes):
             raise ValueError(f"confusion_matrix: {name} outside 0..K-1")
@@ -68,8 +67,6 @@ class PerClassMetrics:
 
 def per_class_metrics(cm: np.ndarray) -> PerClassMetrics:
     cm = np.asarray(cm, dtype=np.int64)
-    if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or cm.size == 0:
-        raise ValueError("per_class_metrics: need a non-empty square matrix")
     total = cm.sum()
     tp = np.diag(cm).astype(np.float64)
     fn = cm.sum(axis=1) - tp
@@ -104,14 +101,13 @@ def per_class_metrics(cm: np.ndarray) -> PerClassMetrics:
 
 
 def binary_auc(scores: np.ndarray, positives: np.ndarray) -> float:
-    """Mann-Whitney AUC of scores for separating positives from negatives."""
+    """Mann-Whitney AUC of scores for separating positives from negatives;
+    unchecked: both must occur (``ovr_auc`` skips a class that lacks one)."""
     scores = np.asarray(scores, dtype=np.float64)
     positives = np.asarray(positives, dtype=bool)
     pos = np.sort(scores[positives])  # sorted queries: an ordered binary search
     neg = np.sort(scores[~positives])
     n_pos, n_neg = len(pos), len(neg)
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("binary_auc: need both positives and negatives")
     twice_u = (
         np.searchsorted(neg, pos, side="left").sum()
         + np.searchsorted(neg, pos, side="right").sum()

@@ -77,9 +77,6 @@ class MlpParams:
     def copy(self) -> "MlpParams":
         return MlpParams(weights=self.weights, biases=self.biases)
 
-    def ravel(self) -> np.ndarray:
-        return self.flat.copy()
-
 
 @dataclass
 class ForwardTrace:
@@ -108,9 +105,7 @@ def init_params(cfg: MlpConfig) -> MlpParams:
 def make_dropout_masks(
     cfg: MlpConfig, batch_size: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """Pre-scaled inverted-dropout masks, one per hidden layer."""
-    if cfg.dropout_rate <= 0.0:
-        raise ValueError("make_dropout_masks: dropout_rate is 0")
+    """Pre-scaled inverted-dropout masks, one per hidden layer; the rate must be > 0."""
     rate = cfg.dropout_rate
     return [(rng.random((batch_size, h)) >= rate).astype(np.float64) / (1.0 - rate)
             for h in cfg.hidden_dims]
@@ -148,27 +143,17 @@ def dropout_mask_rows(cfg: MlpConfig, n: int, rows: slice, seed: int, passes: in
         yield masks
 
 
-def _checked_batch(params: MlpParams, batch, dropout_masks) -> np.ndarray:
-    x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.weights[0].shape[0]:
-        raise ValueError("forward: batch shape does not match the first layer")
-    if dropout_masks is not None:
-        shapes = [(len(x), w.shape[1]) for w in params.weights[:-1]]
-        if [np.shape(m) for m in dropout_masks] != shapes:
-            raise ValueError("forward: need one (rows, width) dropout mask per hidden layer")
-    return x
-
-
 def forward(
     params: MlpParams,
     batch: np.ndarray,
     dropout_masks: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
-    """Run the network on a (n, input_dim) batch; returns (outputs, trace)."""
-    x = _checked_batch(params, batch, dropout_masks)
+    """Run the network on a float64 (n, input_dim) batch; returns (outputs,
+    trace).  Unchecked: ``train`` has matched the network to its data, and
+    ``dropout_masks``, if given, are ``make_dropout_masks``'s for this batch."""
     n_hidden = len(params.weights) - 1
-    trace = ForwardTrace(inputs=x, masks=dropout_masks)
-    h = x
+    trace = ForwardTrace(inputs=batch, masks=dropout_masks)
+    h = batch
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = h @ w + b
         trace.pre_activations.append(z)
@@ -208,7 +193,15 @@ def infer(
     in blocks of at most ``BLOCK_ROWS + 1`` rows.  A row-wise ``head`` maps
     each block's outputs while they are in cache; with no rows it sees one
     empty block, so a head that rejects empty input raises."""
-    x = _checked_batch(params, batch, dropout_masks)
+    x = np.asarray(batch, dtype=np.float64)
+    width = params.weights[0].shape[0]
+    if x.shape[1] != width:  # the one guard between a CSV and a checkpoint
+        raise ValueError(f"infer: the rows have {x.shape[1]} features, "
+                         f"but the network's input width is {width}")
+    if dropout_masks is not None:
+        shapes = [(len(x), w.shape[1]) for w in params.weights[:-1]]
+        if [np.shape(m) for m in dropout_masks] != shapes:
+            raise ValueError("infer: need one (rows, width) dropout mask per hidden layer")
     n, n_hidden = len(x), len(params.weights) - 1
     out = None
     for rows in row_blocks(n):
@@ -228,16 +221,10 @@ def infer(
     return out
 
 
-def backward(trace: ForwardTrace, params: MlpParams, grad_out: np.ndarray, out=None) -> MlpParams:
-    """Backpropagate d(loss)/d(outputs) to parameter gradients in ``out`` (new when None)."""
-    if len(trace.pre_activations) != len(params.weights):
-        raise ValueError("backward: trace does not match params")
-    g = np.asarray(grad_out, dtype=np.float64)
-    if g.shape != trace.pre_activations[-1].shape:
-        raise ValueError("backward: grad_out shape does not match the forward pass")
-    if out is None:
-        out = params.copy()
-    delta = g
+def backward(trace: ForwardTrace, params: MlpParams, grad_out: np.ndarray, out: MlpParams) -> MlpParams:
+    """Backpropagate d(loss)/d(outputs), shaped like the outputs of the
+    forward pass that made ``trace``, to parameter gradients in ``out``."""
+    delta = grad_out
     for i in range(len(params.weights) - 1, -1, -1):
         below = trace.inputs if i == 0 else trace.activations[i - 1]
         np.matmul(below.T, delta, out=out.weights[i])

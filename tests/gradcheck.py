@@ -36,7 +36,7 @@ def finite_diff_check(
     """
     out, trace = forward(params, batch)
     _, grad_out = loss_fn(out)
-    analytic = backward(trace, params, grad_out)
+    analytic = backward(trace, params, grad_out, out=params.copy())
 
     def loss_at(p: MlpParams) -> float:
         o, _ = forward(p, batch)

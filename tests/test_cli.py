@@ -249,6 +249,53 @@ def test_compare_on_ood_rows_is_data_error(flag, model_path, data_dir, mixed_csv
     assert err.startswith("error:") and "ood-eval" in err
 
 
+@pytest.fixture(scope="module")
+def wide_dir(tmp_path_factory):
+    """A benchmark with 3 features, one more than the models above take."""
+    d = tmp_path_factory.mktemp("wide")
+    assert run("gen-data", "--out-dir", str(d), "--k", "3", "--dim", "3",
+               "--n-per-class", "20", "--ood-n", "20") == 0
+    return d
+
+
+@pytest.mark.parametrize("command", ["eval", "calibrate", "ood-eval", "compare"])
+def test_rows_of_another_width_are_data_error(command, calibrated_path, wide_dir, tmp_path, capsys):
+    ckpt = tmp_path / "uios.json"
+    ckpt.write_bytes(calibrated_path.read_bytes())
+    args = {
+        "eval": ["--checkpoint", ckpt, "--test-csv", wide_dir / "test.csv"],
+        "calibrate": ["--checkpoint", ckpt, "--val-csv", wide_dir / "val.csv"],
+        "ood-eval": ["--checkpoint", ckpt, "--ood-csv", wide_dir / "ood_ring.csv"],
+        "compare": ["--checkpoint-dir", tmp_path, "--methods", "uios",
+                    "--val-csv", wide_dir / "val.csv", "--test-csv", wide_dir / "test.csv"],
+    }[command]
+    assert run(command, *map(str, args)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: infer:")
+    assert "3 features" in err and "input width is 2" in err
+    assert ckpt.read_bytes() == calibrated_path.read_bytes()
+
+
+def test_validation_without_errors_gives_the_same_advice(tmp_path, capsys):
+    # well separated blobs and a fast learning rate: no validation errors
+    assert run("gen-data", "--out-dir", str(tmp_path), "--k", "3", "--n-per-class", "60",
+               "--sigma", "0.1", "--seed", "1") == 0
+    ckpt = tmp_path / "uios.json"
+    assert run("train", "--train-csv", str(tmp_path / "train.csv"), "--out", str(ckpt),
+               "--epochs", "20", "--learning-rate", "1e-2") == 0
+    trained = ckpt.read_bytes()
+    capsys.readouterr()
+    advice = "no validation errors, use a harder validation set (e.g. larger sigma) or fewer epochs"
+    assert run("calibrate", "--checkpoint", str(ckpt), "--val-csv", str(tmp_path / "val.csv")) == 3
+    err = capsys.readouterr().err
+    assert "(0 wrong," in err and advice in err
+    assert ckpt.read_bytes() == trained
+    assert run("compare", "--checkpoint-dir", str(tmp_path), "--methods", "uios",
+               "--val-csv", str(tmp_path / "val.csv"),
+               "--test-csv", str(tmp_path / "test.csv")) == 3
+    assert capsys.readouterr().err == err
+
+
 # ---------------------------------------------------------------------------
 # gen-data
 

@@ -62,7 +62,7 @@ def test_evidence_matches_softplus_elementwise():
 def test_dirichlet_from_evidence_values(e, alpha, strength):
     op = opinion_from_alpha(np.asarray(e) + 1.0)
     assert_allclose(op.probs * strength, alpha)
-    assert op.n_classes / op.uncertainty == pytest.approx(strength, abs=1e-9)
+    assert op.beliefs.shape[-1] / op.uncertainty == pytest.approx(strength, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
