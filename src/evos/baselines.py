@@ -23,7 +23,7 @@ import numpy as np
 from . import mlp
 from .errors import DataError
 from .numerics import _row_sum, entropy
-from .training import Model, evidential_scores, softmax_head
+from .training import Model, evidential_alpha, softmax_head
 
 METHODS = ("uios", "entropy", "mc_drop", "ensemble", "tta")
 
@@ -43,7 +43,9 @@ def uios_score(model: Model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evidential probabilities alpha/S and uncertainty mass K/S."""
     if not model.is_evidential:
         raise DataError("uios_score: model was not trained with an evidential objective")
-    return evidential_scores(model, x)
+    alpha = evidential_alpha(model, x)
+    strength = _row_sum(alpha)[:, None]
+    return alpha / strength, model.config.output_dim / strength[:, 0]
 
 
 def entropy_score(model: Model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -28,8 +28,7 @@ from .checkpoint import file_sha256, load_checkpoint, save_checkpoint, save_repo
 from .data import OOD_LABEL, gen_blobs, gen_ood, load_csv, save_csv, split_622
 from .errors import DataError, NumericError
 from .metrics import evaluate, ood_detection_rate
-from .records import from_scores
-from .training import OBJECTIVES, Model, TrainConfig, train
+from .training import OBJECTIVES, TrainConfig, predict_records, resolve_method, train
 
 DEFAULT_SEED = 0
 
@@ -97,19 +96,9 @@ def _load_labelled(path, name: str):
     return ds
 
 
-def _method_records(method, model, ds, args):
-    probs, u = baselines.score_method(
-        method, model, ds.features, passes=args.passes, jitter_sigma=args.jitter_sigma,
-        seed=args.seed,
-    )
-    return from_scores(probs, u, ds.labels)
-
-
-def _method(model: Model, args) -> str:
-    """``--method``; auto is uios for evidential models, else entropy."""
-    if args.method != "auto":
-        return args.method
-    return "uios" if model.is_evidential else "entropy"
+def _scoring(args) -> dict:
+    """The ``predict_records`` keywords that the scoring flags set."""
+    return {"passes": args.passes, "jitter_sigma": args.jitter_sigma, "seed": args.seed}
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +208,8 @@ def cmd_train(args) -> int:
 def cmd_calibrate(args) -> int:
     model, tc, fingerprint, _ = load_checkpoint(args.checkpoint)
     val_set = _load_labelled(args.val_csv, "val")
-    method = _method(model, args)
-    recs = _method_records(method, model, val_set, args)
+    method = resolve_method(model, args.method)
+    recs = predict_records(model, val_set, method, **_scoring(args))
     cal = calibrate(recs, coefficient=args.coefficient)
     n_wrong = int(np.sum(recs.predicted != recs.labels))
     save_checkpoint(args.checkpoint, model, tc, fingerprint, calibration=cal)
@@ -239,8 +228,8 @@ def cmd_calibrate(args) -> int:
 def cmd_eval(args) -> int:
     model, _, _, cal = load_checkpoint(args.checkpoint)
     test_set = _load_labelled(args.test_csv, "test")
-    method = _method(model, args)
-    recs = _method_records(method, model, test_set, args)
+    method = resolve_method(model, args.method)
+    recs = predict_records(model, test_set, method, **_scoring(args))
     sections = {"unthresholded": evaluate(recs).to_dict(), "method": method}
     line = (
         f"unthresholded: acc {sections['unthresholded']['accuracy']:.4f} "
@@ -290,12 +279,12 @@ def cmd_ood_eval(args) -> int:
         raise DataError(
             "ood-eval: checkpoint has no calibrated threshold; run `evos calibrate` first"
         )
-    method = _method(model, args)
+    method = resolve_method(model, args.method)
     sections = {"method": method, "threshold": cal.threshold, "files": {}}
     inputs = {"checkpoint": file_sha256(args.checkpoint)}
     for path in args.ood_csv:
         ds = load_csv(path, name=path)
-        recs = _method_records(method, model, ds, args)
+        recs = predict_records(model, ds, method, **_scoring(args))
         rate = ood_detection_rate(recs.uncertainty, cal.threshold)
         counts, _ = np.histogram(recs.uncertainty, bins=args.bins, range=(0.0, 1.0))
         sections["files"][path] = {
@@ -358,13 +347,13 @@ def cmd_compare(args) -> int:
     def score(m):
         """One method's row and seconds per test row; shares no state with
         the other methods, so they may run at the same time."""
-        model = models[ckpts[m]]
-        val_recs = _method_records(m, model, val_set, args)
+        model, options = models[ckpts[m]], _scoring(args)
+        val_recs = predict_records(model, val_set, m, **options)
         cal = calibrate(val_recs, coefficient=args.coefficient)
         # this thread's CPU time: other methods running alongside do not
         # count against this one
         t0 = time.thread_time()
-        test_recs = _method_records(m, model, test_set, args)
+        test_recs = predict_records(model, test_set, m, **options)
         elapsed = time.thread_time() - t0
         rep = evaluate(test_recs)
         row = {
@@ -375,7 +364,7 @@ def cmd_compare(args) -> int:
         }
         if ood_sets:
             u_all = np.concatenate(
-                [_method_records(m, model, o, args).uncertainty for o in ood_sets]
+                [predict_records(model, o, m, **options).uncertainty for o in ood_sets]
             )
             row["ood_detection_rate"] = ood_detection_rate(u_all, cal.threshold)
         return row, elapsed / len(test_set)

@@ -190,18 +190,16 @@ def infer(
     head=None,
 ) -> np.ndarray:
     """``forward(params, batch, dropout_masks)[0]`` bit for bit, for scoring,
-    in blocks of at most ``BLOCK_ROWS + 1`` rows.  A row-wise ``head`` maps
-    each block's outputs while they are in cache; with no rows it sees one
-    empty block, so a head that rejects empty input raises."""
+    in blocks of at most ``BLOCK_ROWS + 1`` rows.  ``dropout_masks``, if
+    given, are one (rows, width) mask per hidden layer, as
+    ``dropout_mask_rows`` draws them.  A row-wise ``head`` maps each block's
+    outputs while they are in cache; with no rows it sees one empty block, so
+    a head that rejects empty input raises."""
     x = np.asarray(batch, dtype=np.float64)
     width = params.weights[0].shape[0]
     if x.shape[1] != width:  # the one guard between a CSV and a checkpoint
         raise ValueError(f"infer: the rows have {x.shape[1]} features, "
                          f"but the network's input width is {width}")
-    if dropout_masks is not None:
-        shapes = [(len(x), w.shape[1]) for w in params.weights[:-1]]
-        if [np.shape(m) for m in dropout_masks] != shapes:
-            raise ValueError("infer: need one (rows, width) dropout mask per hidden layer")
     n, n_hidden = len(x), len(params.weights) - 1
     out = None
     for rows in row_blocks(n):

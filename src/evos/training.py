@@ -25,7 +25,7 @@ from . import losses, mlp
 from .data import Dataset, one_hot
 from .errors import DataError, NumericError
 from .head import EvidenceGate, opinion_from_alpha
-from .numerics import _row_sum, entropy, softmax, softplus
+from .numerics import _row_sum, softmax, softplus
 from .records import Predictions, from_scores
 
 OBJECTIVES = ("standard_ce", "un", "tun")
@@ -239,8 +239,9 @@ def evidential_alpha(model: Model, features) -> np.ndarray:
     evidential model, one row per input, with g from ``model.gate`` (no
     factor when the model has no gate).
 
-    The one evidential scoring path: ``predict``, ``predict_records`` and
-    ``baselines.uios_score`` all start from it.  Deterministic: no dropout.
+    The one evidential scoring path: ``baselines.uios_score`` (and through it
+    ``predict_records``), ``predict`` and ``accuracy`` all start from it.
+    Deterministic: no dropout.
     """
 
     def alpha_of(logits):
@@ -255,13 +256,6 @@ def evidential_alpha(model: Model, features) -> np.ndarray:
     return mlp.infer(model.params, x, head=alpha_of)
 
 
-def evidential_scores(model: Model, features) -> tuple[np.ndarray, np.ndarray]:
-    """Evidential probabilities alpha/S and uncertainty mass K/S."""
-    alpha = evidential_alpha(model, features)
-    strength = _row_sum(alpha)[:, None]
-    return alpha / strength, model.config.output_dim / strength[:, 0]
-
-
 def predict(model: Model, features: np.ndarray):
     """Opinions for evidential models, softmax probabilities otherwise.
 
@@ -273,17 +267,24 @@ def predict(model: Model, features: np.ndarray):
     return mlp.infer(model.params, x, head=softmax_head)
 
 
-def predict_records(model: Model, ds: Dataset) -> Predictions:
-    """Run the model over a dataset and package rows for metrics/calibration.
+def resolve_method(model: Model, method: str) -> str:
+    """``method``, with auto read as uios for evidential models, else entropy."""
+    if method != "auto":
+        return method
+    return "uios" if model.is_evidential else "entropy"
 
-    For evidential models uncertainty is the Dirichlet uncertainty mass; for
-    standard models it is the normalized softmax entropy (the entropy
-    baseline), so every model yields records in the same format.
+
+def predict_records(model: Model, ds: Dataset, method: str = "auto", **options) -> Predictions:
+    """Score a dataset's rows with a named method (see ``baselines.METHODS``,
+    or auto: ``resolve_method``) and package them for metrics/calibration.
+
+    The one place rows become records.  ``options`` are the keywords of
+    ``baselines.score_method``: snapshots, passes, jitter_sigma and seed.
     """
-    if model.is_evidential:
-        return from_scores(*evidential_scores(model, ds.features), ds.labels)
-    probs = predict(model, ds.features)
-    return from_scores(probs, entropy(probs) / np.log(probs.shape[-1]), ds.labels)
+    from . import baselines  # baselines imports this module
+
+    scores = baselines.score_method(resolve_method(model, method), model, ds.features, **options)
+    return from_scores(*scores, ds.labels)
 
 
 def accuracy(model: Model, ds: Dataset) -> float:

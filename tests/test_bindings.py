@@ -157,3 +157,23 @@ def test_traced_training_reads_the_loss_kernels_it_runs():
     kernels = {"numerics.trigamma", "numerics.digamma", "numerics.log_gamma",
                "losses.per_sample_loss", "losses.loss_grad_alpha"}
     assert not {name.rpartition(".")[0] for name in t.stats()} & kernels
+
+
+def test_rows_become_records_in_one_place():
+    """``training.predict_records`` is the one record builder: it alone calls
+    the method dispatcher and the record constructor, so a second builder,
+    such as the CLI's former ``_method_records``, fails here."""
+    callers = {"from_scores": [], "score_method": []}
+    names = set()
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                names.add(getattr(node, "name", None) or getattr(node, "id", None)
+                          or getattr(node, "attr", None))
+                func = getattr(node, "func", None)
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if isinstance(node, ast.Call) and name in callers:
+                    callers[name].append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == {"from_scores": ["training.predict_records"],
+                       "score_method": ["training.predict_records"]}
+    assert not {"evidential_scores", "_method_records"} & names

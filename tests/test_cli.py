@@ -14,6 +14,8 @@ from evos.checkpoint import file_sha256, load_checkpoint, save_checkpoint
 from evos.cli import main
 from evos.data import load_csv
 from evos.errors import DataError, NumericError
+from evos.metrics import evaluate
+from evos.training import predict_records
 
 
 def run(*argv):
@@ -773,6 +775,33 @@ def test_compare_full_run(cmp_dir, data_dir, tmp_path, capsys):
     assert timing.exists()
     timings = json.loads(timing.read_text())
     assert all(v > 0 for v in timings["ms_per_sample"].values())
+
+
+@pytest.mark.parametrize("method", baselines.METHODS)
+def test_eval_method_reports_the_library_records(method, cmp_dir, data_dir, tmp_path, capsys):
+    # the CLI scores through predict_records, with the flags as its keywords
+    ckpt = cmp_dir / cli._ARTIFACT_FOR_METHOD[method]
+    report = tmp_path / "eval.json"
+    flags = ("--passes", "4", "--jitter-sigma", "0.2", "--seed", "3")
+    assert run("eval", "--checkpoint", str(ckpt), "--test-csv", str(data_dir / "test.csv"),
+               "--method", method, "--report", str(report), *flags) == 0
+    capsys.readouterr()
+    model = load_checkpoint(ckpt)[0]
+    recs = predict_records(model, load_csv(data_dir / "test.csv"), method,
+                           passes=4, jitter_sigma=0.2, seed=3)
+    got = json.loads(report.read_text())["sections"]
+    assert got["method"] == method
+    assert json.dumps(got["unthresholded"], sort_keys=True) == json.dumps(
+        evaluate(recs).to_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("artifact, method", [("uios.json", "uios"), ("standard.json", "entropy")])
+def test_predict_records_auto_is_the_model_s_own_method(artifact, method, cmp_dir, data_dir):
+    model = load_checkpoint(cmp_dir / artifact)[0]
+    ds = load_csv(data_dir / "test.csv")
+    auto, named = predict_records(model, ds), predict_records(model, ds, method)
+    for column in ("predicted", "labels", "uncertainty", "probs"):
+        assert getattr(auto, column).tobytes() == getattr(named, column).tobytes()
 
 
 def test_compare_output_does_not_depend_on_the_cpu_count(

@@ -161,21 +161,6 @@ def test_infer_head_sees_each_block_once():
     assert seen == [0]
 
 
-@pytest.mark.parametrize("fn", [infer])
-@pytest.mark.parametrize("bad", ["one_row", "extra_row", "extra_column"])
-def test_dropout_masks_of_the_wrong_shape_raise(fn, bad):
-    # a (1, h) mask would broadcast one mask over every row
-    cfg = small_config(hidden_dims=(5, 4), dropout_rate=0.3)
-    p = init_params(cfg)
-    x = np.zeros((4, 2))
-    rows, extra = {"one_row": (1, 0), "extra_row": (5, 0), "extra_column": (4, 1)}[bad]
-    masks = [np.ones((rows, h + extra)) for h in cfg.hidden_dims]
-    with pytest.raises(ValueError, match="dropout mask"):
-        fn(p, x, dropout_masks=masks)
-    with pytest.raises(ValueError, match="dropout mask"):
-        fn(p, x, dropout_masks=masks[:1])
-
-
 def test_forward_shape_mismatch():
     p = init_params(small_config())
     with pytest.raises(ValueError):
