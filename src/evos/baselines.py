@@ -16,8 +16,6 @@ to all of them:
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from . import mlp
@@ -36,7 +34,8 @@ def _probs(params: mlp.MlpParams, x: np.ndarray, masks=None) -> np.ndarray:
 
 
 def _normalized_entropy(probs: np.ndarray) -> np.ndarray:
-    return entropy(probs) / np.log(probs.shape[-1])
+    # a near-uniform row's ratio can round an ulp above 1
+    return np.minimum(entropy(probs) / np.log(probs.shape[-1]), 1.0)
 
 
 def uios_score(model: Model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -59,19 +58,13 @@ def mc_dropout_score(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo dropout: T stochastic passes with fresh masks.
 
-    Requires a model trained with dropout_rate > 0; with rate 0 the passes
-    would be identical, so this degenerates to the entropy method (with a
-    warning).  Pass t takes its masks from ``mlp.dropout_mask_rows``: the
-    16-bit words of the seeded stream that a draw on all rows would give
-    that pass, drawn one row block's at a time.
+    Requires a model trained with dropout_rate > 0: ``mlp.dropout_mask_rows``
+    raises ValueError for a rate that drops no unit.  Pass t takes its masks
+    from it: the 16-bit words of the seeded stream that a draw on all rows
+    would give that pass, drawn one row block's at a time.
     """
     if passes < 1:
         raise ValueError("mc_dropout_score: passes >= 1 required")
-    if model.config.dropout_rate <= 0.0:
-        warnings.warn(
-            "mc_dropout_score: model has dropout_rate 0; falling back to the entropy method"
-        )
-        return entropy_score(model, x)
     x = np.asarray(x, dtype=np.float64)
     n, cfg = len(x), model.config
     mean, u = np.empty((n, cfg.output_dim)), np.empty(n)

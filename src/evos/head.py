@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import _row_sum
+
 
 @dataclass(frozen=True)
 class SubjectiveOpinion:
@@ -39,7 +41,7 @@ def opinion_from_alpha(alpha) -> SubjectiveOpinion:
     """Project Dirichlet concentrations alpha >= 1 onto the opinion simplex."""
     alpha = np.asarray(alpha, dtype=np.float64)
     k = alpha.shape[-1]
-    strength = alpha.sum(axis=-1, keepdims=True)
+    strength = _row_sum(alpha)[..., None]
     beliefs = (alpha - 1.0) / strength
     probs = alpha / strength
     uncertainty = k / np.squeeze(strength, axis=-1)

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import digamma, log_gamma, sigmoid, softmax, softplus, trigamma
+from .numerics import _row_sum, digamma, log_gamma, sigmoid, softmax, softplus, trigamma
 
 PROB_FLOOR = 1e-12  # clamp for logs of probabilities / beliefs
 
@@ -132,11 +132,11 @@ _A, _S, _T = np.s_[..., :-2], np.s_[..., -2:-1], np.s_[..., -1:]
 
 
 def _ce_value(p, y):
-    return -np.sum(y * np.log(np.maximum(p, PROB_FLOOR)), axis=-1)
+    return -_row_sum(y * np.log(np.maximum(p, PROB_FLOOR)))
 
 
 def _tce_value(b, y, temperature):
-    return -np.sum(y * np.log(np.maximum(b, PROB_FLOOR) / temperature), axis=-1)
+    return -_row_sum(y * np.log(np.maximum(b, PROB_FLOOR) / temperature))
 
 
 def _adjust(a, y):
@@ -152,14 +152,14 @@ def _ce(b: _Shared, grad: bool):
     if not grad:
         return _ce_value(b.a / b.s, b.y)
     # L = ln S - sum_k y_k ln alpha_k ; flat (zero) where the clamp is active
-    clamped = np.sum(b.y * b.a, axis=-1, keepdims=True) / b.s < PROB_FLOOR
+    clamped = _row_sum(b.y * b.a)[..., None] / b.s < PROB_FLOOR
     return np.where(clamped, 0.0, 1.0 / b.s - b.y / b.a)
 
 
 def _unce(b: _Shared, grad: bool):
     if grad:
         return b.tri[_S] - b.y * b.tri[_A]
-    return np.sum(b.y * (b.psi[_S] - b.psi[_A]), axis=-1)
+    return _row_sum(b.y * (b.psi[_S] - b.psi[_A]))
 
 
 def _kl(b: _Shared, grad: bool):
@@ -172,8 +172,8 @@ def _kl(b: _Shared, grad: bool):
     return (
         b.lg[..., -1]
         - _log_gamma_of(k)
-        - np.sum(b.lg[..., :-1], axis=-1)
-        + np.sum(excess * (b.psi[_A] - b.psi[_T]), axis=-1)
+        - _row_sum(b.lg[..., :-1])
+        + _row_sum(excess * (b.psi[_A] - b.psi[_T]))
     )
 
 
@@ -185,7 +185,7 @@ def _tce(b: _Shared, grad: bool):
     evid, y, s = b.a - 1.0, b.y, b.s
     if not grad:
         return _tce_value(evid / s, y, b.schedule.temperature)
-    evid_true = np.sum(y * evid, axis=-1, keepdims=True)  # alpha_c - 1
+    evid_true = _row_sum(y * evid)[..., None]  # alpha_c - 1
     with np.errstate(divide="ignore", invalid="ignore"):
         on = -(s - evid_true) / (evid_true * s)
     g = np.where(y == 1.0, on, 1.0 / s)
@@ -212,7 +212,7 @@ def _alpha_loss(kind: str, a, y, schedule: Schedule, grad: bool = False):
     if terms is None:
         raise ValueError(f"unknown loss kind {kind!r}")
     a_hat = _adjust(a, y)
-    s, total = a.sum(axis=-1, keepdims=True), a_hat.sum(axis=-1, keepdims=True)
+    s, total = _row_sum(a)[..., None], _row_sum(a_hat)[..., None]
     stacked = np.concatenate([a, s, total], axis=-1)
     if grad:
         b = _Shared(a, y, s, a_hat, total, schedule, tri=trigamma(stacked))

@@ -186,8 +186,8 @@ def _row_max(a: np.ndarray) -> np.ndarray:
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:
-    """``np.sum(a, axis=-1)``, bit for bit on a C-contiguous ``a`` (which NaN
-    comes out of a sum of NaNs aside).
+    """``np.sum(a, axis=-1)``, bit for bit on a C-contiguous ``a`` or a
+    column slice of one (which NaN comes out of a sum of NaNs aside).
 
     Below 8 terms numpy adds them one after another from +0.0, and so does
     the column loop; from 8 terms on numpy sums pairwise, so ``np.sum`` runs.

@@ -24,8 +24,8 @@ import numpy as np
 from . import losses, mlp
 from .data import Dataset, one_hot
 from .errors import DataError, NumericError
-from .head import EvidenceGate, opinion_from_alpha
-from .numerics import _row_sum, softmax, softplus
+from .head import EvidenceGate, SubjectiveOpinion, opinion_from_alpha
+from .numerics import softmax, softplus
 from .records import Predictions, from_scores
 
 OBJECTIVES = ("standard_ce", "un", "tun")
@@ -240,7 +240,7 @@ def evidential_alpha(model: Model, features) -> np.ndarray:
     factor when the model has no gate).
 
     The one evidential scoring path: ``baselines.uios_score`` (and through it
-    ``predict_records``), ``predict`` and ``accuracy`` all start from it.
+    ``predict_records`` and ``accuracy``) and ``predict`` start from it.
     Deterministic: no dropout.
     """
 
@@ -256,15 +256,13 @@ def evidential_alpha(model: Model, features) -> np.ndarray:
     return mlp.infer(model.params, x, head=alpha_of)
 
 
-def predict(model: Model, features: np.ndarray):
-    """Opinions for evidential models, softmax probabilities otherwise.
-
-    Deterministic: no dropout is applied at prediction time.
-    """
-    if model.is_evidential:
-        return opinion_from_alpha(evidential_alpha(model, features))
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    return mlp.infer(model.params, x, head=softmax_head)
+def predict(model: Model, features: np.ndarray) -> SubjectiveOpinion:
+    """The subjective opinions of an evidential model, without dropout.  A
+    standard model raises DataError; ``predict_records(model, ds, "entropy")``
+    holds its probabilities."""
+    if not model.is_evidential:
+        raise DataError("predict: model was not trained with an evidential objective")
+    return opinion_from_alpha(evidential_alpha(model, features))
 
 
 def resolve_method(model: Model, method: str) -> str:
@@ -288,10 +286,5 @@ def predict_records(model: Model, ds: Dataset, method: str = "auto", **options) 
 
 
 def accuracy(model: Model, ds: Dataset) -> float:
-    """Share of rows whose label is ``predict_records``' class, without its u."""
-    if model.is_evidential:
-        alpha = evidential_alpha(model, ds.features)
-        probs = alpha / _row_sum(alpha)[:, None]
-    else:
-        probs = predict(model, ds.features)
-    return float(np.mean(np.argmax(probs, axis=-1) == ds.labels))
+    """Share of rows whose label is ``predict_records``' class."""
+    return float(np.mean(predict_records(model, ds).predicted == ds.labels))

@@ -113,6 +113,18 @@ def test_entropy_uniform_five_classes():
     assert_allclose(u, 1.0)
 
 
+@pytest.mark.parametrize("k", [2, 5, 7, 11])
+def test_entropy_of_near_uniform_rows_stays_at_most_one(k):
+    # entropy / ln K of such rows can round an ulp or two above 1
+    model = linear_model(np.random.default_rng(k).standard_normal(k) * 1e-9)
+    x = np.random.default_rng(0).standard_normal((64, 2))
+    model.params.weights[0][:] = np.random.default_rng(1).standard_normal((2, k)) * 1e-9
+    _, u = entropy_score(model, x)
+    assert u.max() == 1.0
+    recs = predict_records(model, Dataset(x, np.zeros(64, dtype=np.int64), k))
+    assert recs.uncertainty.tobytes() == u.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # uios
 
@@ -142,13 +154,9 @@ def test_uios_on_trained_model(evidential_model, bench_splits):
 # mc_drop
 
 
-def test_mc_dropout_rate_zero_falls_back_to_entropy(standard_result):
-    x = np.array([[0.5, -0.5], [2.0, 1.0]])
-    with pytest.warns(UserWarning, match="entropy"):
-        p_mc, u_mc = mc_dropout_score(standard_result.model, x)
-    p_e, u_e = entropy_score(standard_result.model, x)
-    assert np.array_equal(p_mc, p_e)
-    assert np.array_equal(u_mc, u_e)
+def test_mc_dropout_rejects_a_model_without_dropout(standard_result):
+    with pytest.raises(ValueError, match="dropout_rate 0.0 drops no unit"):
+        mc_dropout_score(standard_result.model, np.array([[0.5, -0.5], [2.0, 1.0]]))
 
 
 def test_mc_dropout_deterministic_per_seed(dropout_model):

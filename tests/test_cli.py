@@ -16,6 +16,7 @@ from evos.data import load_csv
 from evos.errors import DataError, NumericError
 from evos.metrics import evaluate
 from evos.training import predict_records
+from test_bindings import load_tracer
 
 
 def run(*argv):
@@ -914,3 +915,37 @@ def test_mc_drop_rate_the_16_bit_cut_cannot_hold_is_data_error(
     assert f"dropout_rate {rate}" in capsys.readouterr().err
     assert run_compare(edge, data_dir) == 3
     assert f"dropout_rate {rate}" in capsys.readouterr().err
+
+
+def test_mc_drop_on_a_model_without_dropout_is_data_error(cmp_dir, data_dir, tmp_path, capsys):
+    # not scored as entropy under mc_drop's name
+    report = tmp_path / "eval.json"
+    rc = run("eval", "--checkpoint", str(cmp_dir / "standard.json"),
+             "--test-csv", str(data_dir / "test.csv"), "--method", "mc_drop",
+             "--report", str(report))
+    assert rc == 3
+    assert "dropout_rate 0.0 drops no unit" in capsys.readouterr().err
+    assert not report.exists()
+    plain = tmp_path / "cmp"
+    shutil.copytree(cmp_dir, plain)
+    shutil.copyfile(cmp_dir / "standard.json", plain / "mcdrop.json")
+    assert run_compare(plain, data_dir) == 3
+    assert "dropout_rate 0.0 drops no unit" in capsys.readouterr().err
+
+
+def test_compare_runs_under_the_benchmark_tracer(cmp_dir, data_dir, tmp_path, capsys, monkeypatch):
+    # the traced run must not crash or change a byte.  One worker: the tracer
+    # starts and stops tracemalloc around each roc_sweep, and a stop while
+    # another thread allocates in numpy segfaults CPython 3.11 in about 3 of
+    # 100 runs (ROADMAP item 1)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    reports = [tmp_path / "plain.json", tmp_path / "traced.json"]
+    assert run_compare(cmp_dir, data_dir, "--report", str(reports[0])) == 0
+    with load_tracer().Tracer() as t:
+        assert run_compare(cmp_dir, data_dir, "--report", str(reports[1])) == 0
+    capsys.readouterr()
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    stats = t.stats()
+    for scorer in ("uios", "entropy", "mc_dropout", "ensemble", "tta"):
+        assert stats[f"baselines.{scorer}_score.calls"] == 3, scorer  # val, test, ood
+    assert stats["calibration.roc_sweep.calls"] == 5

@@ -306,6 +306,8 @@ def test_row_sum_and_max_match_numpy_bit_for_bit(lead, k, seed):
     a = _mixed_block(lead, k, seed)
     with np.errstate(invalid="ignore", over="ignore"):
         assert _same_bits(_row_sum(a), np.sum(a, axis=-1)), (lead, k)
+        # a column slice, not C-contiguous: how the KL value reads its ln Gamma columns
+        assert _same_bits(_row_sum(a[..., :-1]), np.sum(a[..., :-1], axis=-1)), (lead, k)
         # the same values; a zero maximum may carry either sign (numpy's
         # SIMD reduction picks it by lane), which softmax cannot see
         assert np.array_equal(_row_max(a), np.max(a, axis=-1), equal_nan=True), (lead, k)

@@ -14,6 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from evos import losses, mlp, training
+from evos.baselines import entropy_score
 from evos.data import Dataset, gen_blobs, one_hot, split_622
 from evos.errors import DataError, NumericError
 from evos.head import EvidenceGate, SubjectiveOpinion
@@ -512,13 +513,11 @@ def test_predict_trained_model_on_centroids(separable):
     assert list(op.predicted_class) == [0, 1]
 
 
-def test_predict_standard_model_rows_sum_to_one(separable):
-    cfg = TrainConfig(epochs=2, objective="standard_ce", seed=1)
+def test_predict_standard_model_is_data_error():
     net = MlpConfig(input_dim=2, output_dim=2, seed=1)
-    model = train(separable, None, cfg, net).model
-    probs = predict(model, separable.features[:20])
-    assert probs.shape == (20, 2)
-    assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+    model = Model(config=net, params=init_params(net), objective="standard_ce")
+    with pytest.raises(DataError, match="predict: model was not trained with an evidential"):
+        predict(model, np.zeros((1, 2)))
 
 
 def test_predict_records_standard_uses_normalized_entropy(separable):
@@ -527,7 +526,7 @@ def test_predict_records_standard_uses_normalized_entropy(separable):
     model = train(separable, None, cfg, net).model
     recs = predict_records(model, separable)
     assert (recs.uncertainty >= 0).all() and (recs.uncertainty <= 1).all()
-    probs = predict(model, separable.features)
+    probs, _ = entropy_score(model, separable.features)
     expect = -np.sum(probs * np.log(np.clip(probs, 1e-300, 1)), axis=1) / math.log(2)
     assert_allclose(recs.uncertainty, expect, atol=1e-9)
 
