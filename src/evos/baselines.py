@@ -12,6 +12,12 @@ to all of them:
     tta       mean softmax over T passes with Gaussian input jitter;
               uncertainty = mean across-pass variance of the class
               probabilities, normalized by its maximum (1/4)
+
+The random methods (mc_drop, tta) draw each block ``j`` of
+``mlp.row_blocks(n)`` from ``np.random.default_rng((seed, j))``, all T
+passes in pass order, as training draws epoch ``e`` from
+``default_rng((seed, e))``: a block's scores depend on its rows and the
+seed only, and one block's draws are held at a time.
 """
 
 from __future__ import annotations
@@ -58,19 +64,21 @@ def mc_dropout_score(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo dropout: T stochastic passes with fresh masks.
 
-    Requires a model trained with dropout_rate > 0: ``mlp.dropout_mask_rows``
-    raises ValueError for a rate that drops no unit.  Pass t takes its masks
-    from it: the 16-bit words of the seeded stream that a draw on all rows
-    would give that pass, drawn one row block's at a time.
+    Requires a model trained with dropout_rate > 0: ``mlp.make_dropout_masks``
+    raises ValueError for a rate that drops no unit.
     """
     if passes < 1:
         raise ValueError("mc_dropout_score: passes >= 1 required")
     x = np.asarray(x, dtype=np.float64)
     n, cfg = len(x), model.config
     mean, u = np.empty((n, cfg.output_dim)), np.empty(n)
-    for rows in mlp.row_blocks(n):
+    for j, rows in enumerate(mlp.row_blocks(n)):
+        rng = np.random.default_rng((seed, j))
         acc = np.zeros((rows.stop - rows.start, cfg.output_dim))
-        for masks in mlp.dropout_mask_rows(cfg, n, rows, seed, passes):
+        for _ in range(passes):
+            # held until the next pass's masks exist: freeing them first let
+            # glibc trim the thread's heap after every pass
+            masks = mlp.make_dropout_masks(cfg, rows.stop - rows.start, rng)
             acc += _probs(model.params, x[rows], masks)
         mean[rows] = acc / passes
         u[rows] = _normalized_entropy(mean[rows])
@@ -103,11 +111,8 @@ def tta_score(
     Uncertainty is the across-pass variance of the class probabilities,
     averaged over classes and divided by 1/4 (the variance of a fair coin,
     the largest possible for a [0, 1] variable), so it lands in [0, 1].
-    The jitter is ``standard_normal((passes, *x.shape))`` from the seeded
-    generator, but only one row block's T passes are held at a time: a
-    normal takes a varying share of the stream, so a block's draws cannot
-    be skipped to, and one sweep through the stream in pass order records
-    the generator state each pass's block starts at instead.
+    The variance is taken about the first pass, so passes that agree give
+    exactly 0.
     """
     if passes < 2:
         raise ValueError("tta_score: need >= 2 passes to estimate a variance")
@@ -115,24 +120,16 @@ def tta_score(
         raise ValueError("tta_score: jitter_sigma must be >= 0")
     x = np.asarray(x, dtype=np.float64)
     n, k = len(x), model.config.output_dim
-    blocks = mlp.row_blocks(n)
-    rng = np.random.default_rng(seed)
-    starts = []  # starts[t][j]: the state pass t's draws for block j start at
-    for _ in range(passes):
-        starts.append([])
-        for rows in blocks:
-            starts[-1].append(rng.bit_generator.state)
-            rng.standard_normal((rows.stop - rows.start, *x.shape[1:]))
     mean, u = np.empty((n, k)), np.empty(n)
-    for j, rows in enumerate(blocks):
+    for j, rows in enumerate(mlp.row_blocks(n)):
+        rng = np.random.default_rng((seed, j))
         stack = np.empty((passes, rows.stop - rows.start, k))
         for t in range(passes):
-            rng.bit_generator.state = starts[t][j]
             jitter = rng.standard_normal((rows.stop - rows.start, *x.shape[1:]))
             jitter *= jitter_sigma
             stack[t] = _probs(model.params, x[rows] + jitter)
         mean[rows] = stack.mean(axis=0)
-        var = stack.var(axis=0, ddof=0)
+        var = (stack - stack[0]).var(axis=0)
         u[rows] = 4.0 * (_row_sum(var) / k)
     return mean, u
 

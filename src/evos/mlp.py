@@ -7,13 +7,13 @@ the evidential head turns into evidence.  No autograd framework is used:
 
 Dropout is the inverted kind (kept units are scaled so that a mask's
 expected value is 1) and is only applied when the caller passes masks, so
-plain forward passes are deterministic.  The Monte Carlo dropout baseline
-supplies fresh masks per pass, drawn one row block at a time by
-``dropout_mask_rows`` from 16-bit words of its stream.
+plain forward passes are deterministic.  Training and the Monte Carlo
+dropout baseline both draw their masks with ``make_dropout_masks``.
 
-Scoring (``infer``) runs in blocks of ``BLOCK_ROWS`` rows, so that a block's
+Scoring (``infer``) runs in the blocks of ``row_blocks``, so that a block's
 layers and the caller's row-wise head stay in L2 cache and the intermediates
-are O(block), not one (n, 32) array per layer; the bits are ``forward``'s.
+are O(block), not one (n, 32) array per layer; each block's bits are those
+of ``forward`` on that block's rows.
 """
 
 from __future__ import annotations
@@ -102,45 +102,25 @@ def init_params(cfg: MlpConfig) -> MlpParams:
     return MlpParams(weights=weights, biases=biases)
 
 
-def make_dropout_masks(
-    cfg: MlpConfig, batch_size: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Pre-scaled inverted-dropout masks, one per hidden layer; the rate must be > 0."""
-    rate = cfg.dropout_rate
-    return [(rng.random((batch_size, h)) >= rate).astype(np.float64) / (1.0 - rate)
-            for h in cfg.hidden_dims]
-
-
-def dropout_mask_rows(cfg: MlpConfig, n: int, rows: slice, seed: int, passes: int):
-    """Yield rows ``rows`` of ``passes`` passes' scaled dropout masks on ``n``
-    rows, one list of hidden-layer masks per pass.  The keep decisions are
-    the 16-bit words of ``np.random.PCG64(seed).random_raw``, four per output
-    in little-endian order, pass by pass, layer by layer, rows in row-major
-    order.  A unit is dropped when its word is below cut = round(rate *
-    2**16); kept units are scaled by 2**16 / (2**16 - cut), so E[mask] = 1.
-    Only these rows are drawn: the generator is advanced past the outputs
-    before them, so a block's masks are those rows of a draw on all rows.
+def make_dropout_masks(cfg: MlpConfig, n: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Scaled inverted-dropout masks on ``n`` rows, one per hidden layer.
+    Each layer's keep decisions are the next 16-bit words of
+    ``rng.bit_generator.random_raw``, four per output in little-endian order,
+    rows in row-major order; a layer starts on a fresh output.  A unit is
+    dropped when its word is below cut = round(rate * 2**16); kept units are
+    scaled by 2**16 / (2**16 - cut), so E[mask] = 1.
     """
     cut = round(cfg.dropout_rate * 2**16)
     if not 0 < cut < 2**16:
-        raise ValueError(f"dropout_mask_rows: dropout_rate {cfg.dropout_rate} "
+        raise ValueError(f"make_dropout_masks: dropout_rate {cfg.dropout_rate} "
                          "drops no unit or every unit at 16-bit resolution")
-    start, stop, _ = rows.indices(n)
-    bits = np.random.PCG64(seed)
-    here = skip = 0  # stream position in outputs, and the word where the current layer starts
-    for _ in range(passes):
-        masks = []
-        for h in cfg.hidden_dims:
-            first, last = skip + start * h, skip + stop * h  # words
-            lo, hi = first // 4, -(-last // 4)  # the outputs that hold them
-            # modulo the period 2**128: a step of -1 re-reads an output two layers share
-            bits.advance((lo - here) % 2**128)
-            words = bits.random_raw(hi - lo).astype("<u8", copy=False).view("<u2")
-            mask = (words[first % 4 :][: last - first] >= cut).astype(np.float64)
-            mask *= 2**16 / (2**16 - cut)
-            masks.append(mask.reshape(stop - start, h))
-            here, skip = hi, skip + n * h
-        yield masks
+    masks = []
+    for h in cfg.hidden_dims:
+        words = rng.bit_generator.random_raw(-(-n * h // 4)).astype("<u8", copy=False).view("<u2")
+        mask = (words[: n * h] >= cut).astype(np.float64)
+        mask *= 2**16 / (2**16 - cut)
+        masks.append(mask.reshape(n, h))
+    return masks
 
 
 def forward(
@@ -176,7 +156,9 @@ def row_blocks(n: int) -> list[slice]:
 
     The contract is that a row's bits depend on its company: the same row
     scored in another call, such as a one-row CSV, may differ in the last
-    bits of its logits and of the ``u`` built from them."""
+    bits of its logits and of the ``u`` built from them.  So may ``forward``
+    on all rows at once, under a BLAS kernel (such as OpenBLAS's Haswell)
+    whose product bits depend on the shape of the matrix."""
     starts = list(range(0, n, BLOCK_ROWS)) or [0]
     if n > 1 and n - starts[-1] == 1:
         starts.pop()
@@ -189,12 +171,12 @@ def infer(
     dropout_masks: list[np.ndarray] | None = None,
     head=None,
 ) -> np.ndarray:
-    """``forward(params, batch, dropout_masks)[0]`` bit for bit, for scoring,
-    in blocks of at most ``BLOCK_ROWS + 1`` rows.  ``dropout_masks``, if
-    given, are one (rows, width) mask per hidden layer, as
-    ``dropout_mask_rows`` draws them.  A row-wise ``head`` maps each block's
-    outputs while they are in cache; with no rows it sees one empty block, so
-    a head that rejects empty input raises."""
+    """``forward(params, batch, dropout_masks)[0]`` for scoring, in the blocks
+    of ``row_blocks``: each block's bits are those of ``forward`` on its rows.
+    ``dropout_masks``, if given, are one (rows, width) mask per hidden layer,
+    as ``make_dropout_masks`` draws them.  A row-wise ``head`` maps each
+    block's outputs while they are in cache; with no rows it sees one empty
+    block, so a head that rejects empty input raises."""
     x = np.asarray(batch, dtype=np.float64)
     width = params.weights[0].shape[0]
     if x.shape[1] != width:  # the one guard between a CSV and a checkpoint

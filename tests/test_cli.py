@@ -111,6 +111,8 @@ BAD_VALUES = {
     "epochs": (*TRAIN, "--epochs", "-1"),
     "batch_size": (*TRAIN, "--batch-size", "0"),
     "dropout_rate": (*TRAIN, "--dropout-rate", "1.5"),
+    # drops no unit at the masks' 16-bit resolution
+    "dropout_rate_below_cut": (*TRAIN, "--dropout-rate", "3e-06"),
     "passes": (*CALIBRATE, "--method", "mc_drop", "--passes", "0"),
     "jitter_sigma": (*CALIBRATE, "--method", "tta", "--jitter-sigma", "-1"),
     "bins": ("ood-eval", "--checkpoint", "{model}", "--ood-csv", "{data}/ood_ring.csv",

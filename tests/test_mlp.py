@@ -14,7 +14,6 @@ from evos.mlp import (
     MlpParams,
     backward,
     check_finite,
-    dropout_mask_rows,
     forward,
     infer,
     init_params,
@@ -121,17 +120,19 @@ B = BLOCK_ROWS
 @pytest.mark.parametrize("with_masks", [False, True])
 @pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 7])
 def test_infer_bit_identical_to_forward_at_block_edges(n, with_masks):
-    # 3B + 7 ends in a short block; B + 1 would end in a lone row, which
-    # numpy multiplies by another kernel
+    # each block's bits are forward's on that block's rows alone; 3B + 7 ends
+    # in a short block, and B + 1 would end in a lone row, which numpy
+    # multiplies by another kernel
     cfg = MlpConfig(input_dim=2, output_dim=5, dropout_rate=0.25, seed=11)
     p = init_params(cfg)
     rng = np.random.default_rng(n)
     x = rng.normal(0.0, 5.0, size=(n, 2))
     masks = make_dropout_masks(cfg, n, rng) if with_masks else None
-    out, _ = forward(p, x, dropout_masks=masks)
+    want = [forward(p, x[rows], None if masks is None else [m[rows] for m in masks])[0]
+            for rows in row_blocks(n)]
     got = infer(p, x, dropout_masks=masks)
-    assert got.shape == out.shape == (n, 5)
-    assert np.array_equal(got, out)
+    assert got.shape == (n, 5)
+    assert got.tobytes() == np.concatenate(want).tobytes()
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, B - 1, B, B + 1, B + 2, 2 * B + 1, 3 * B + 7])
@@ -155,7 +156,8 @@ def test_infer_head_sees_each_block_once():
 
     got = infer(p, x, head=head)
     assert seen == [B, B + 1]
-    assert np.array_equal(got, forward(p, x)[0].sum(axis=1))
+    want = [forward(p, x[rows])[0].sum(axis=1) for rows in row_blocks(len(x))]
+    assert got.tobytes() == np.concatenate(want).tobytes()
     seen.clear()
     assert infer(p, x[:0], head=head).shape == (0,)
     assert seen == [0]
@@ -231,60 +233,48 @@ def test_dropout_masks_prescaled():
     masks = make_dropout_masks(cfg, 4, np.random.default_rng(0))
     (m,) = masks
     assert m.shape == (4, 1000)
-    keep = 1.0 - 0.3
-    assert_allclose(np.unique(m), [0.0, 1.0 / keep], atol=1e-15)
-    # kept fraction concentrates around keep
-    assert np.mean(m > 0) == pytest.approx(keep, abs=0.03)
+    cut = round(0.3 * 2**16)
+    assert np.unique(m).tolist() == [0.0, 2**16 / (2**16 - cut)]
+    # kept fraction concentrates around 1 - rate
+    assert np.mean(m > 0) == pytest.approx(1.0 - 0.3, abs=0.03)
 
 
 def test_dropout_requires_positive_rate():
-    with pytest.raises(ValueError):
-        next(dropout_mask_rows(small_config(), 4, slice(0, 4), seed=0, passes=1))
+    with pytest.raises(ValueError, match="make_dropout_masks: dropout_rate 0.0"):
+        make_dropout_masks(small_config(), 4, np.random.default_rng(0))
 
 
-def scoring_masks(cfg, n, seed, passes):
-    """``passes`` passes' masks on all ``n`` rows, from one plain-numpy draw:
-    the 16-bit little-endian words of PCG64(seed)'s raw outputs, pass by
-    pass, layer by layer, row-major; a word below round(rate * 2**16) drops
-    its unit."""
-    sizes = [n * h for h in cfg.hidden_dims] * passes
-    total = sum(sizes)
-    words = np.random.PCG64(seed).random_raw(-(-total // 4)).astype("<u8").view("<u2")
+def reference_masks(cfg, n, bits, passes):
+    """``passes`` passes' masks on ``n`` rows in plain numpy: each layer takes
+    the next ceil(n * h / 4) raw outputs of ``bits``, splits each into four
+    16-bit words, lowest first, and keeps the first n * h of them, row-major;
+    a word below round(rate * 2**16) drops its unit."""
     cut = round(cfg.dropout_rate * 2**16)
-    keep = np.split(words[:total] >= cut, np.cumsum(sizes)[:-1])
-    masks = [k.reshape(n, h) * (2**16 / (2**16 - cut)) for k, h in zip(keep, cfg.hidden_dims * passes)]
-    layers = len(cfg.hidden_dims)
-    return [masks[i : i + layers] for i in range(0, len(masks), layers)]
-
-
-@pytest.mark.parametrize("n", [1, 2, B, B + 1, 2 * B + 13])
-def test_dropout_mask_rows_are_the_whole_batch_masks(n):
-    # each block's masks, drawn alone from an advanced copy of the seeded
-    # stream, equal those rows of three successive whole-batch draws
-    cfg = MlpConfig(input_dim=2, output_dim=5, hidden_dims=(32, 7), dropout_rate=0.25)
-    whole = scoring_masks(cfg, n, seed=17, passes=3)
-    for rows in row_blocks(n):
-        got = list(dropout_mask_rows(cfg, n, rows, seed=17, passes=3))
-        assert len(got) == len(whole)
-        for got_pass, whole_pass in zip(got, whole):
-            assert len(got_pass) == len(whole_pass)
-            for g, w in zip(got_pass, whole_pass):
-                assert g.tobytes() == w[rows].tobytes()
+    out = []
+    for _ in range(passes):
+        out.append([])
+        for h in cfg.hidden_dims:
+            raw = bits.random_raw(-(-n * h // 4))
+            words = (raw[:, None] >> np.arange(0, 64, 16, dtype=np.uint64)) & np.uint64(0xFFFF)
+            keep = words.ravel()[: n * h].reshape(n, h) >= cut
+            out[-1].append(keep * (2**16 / (2**16 - cut)))
+    return out
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, B + 3, 2 * B + 13])
 @pytest.mark.parametrize("rows", ["all", "blocks"])
 def test_dropout_mask_rows_where_a_layer_ends_inside_an_output(n, rows):
     # with widths 32 and 7 and odd n, layer and pass boundaries fall inside a
-    # 64-bit output, which then holds words of two layers
+    # 64-bit output: its unused words are skipped, and the next layer starts
+    # on a fresh output; mc_drop draws block j's passes from (seed, j)
     cfg = MlpConfig(input_dim=2, output_dim=5, hidden_dims=(32, 7), dropout_rate=0.25)
     assert (n * 7) % 4 and (n * 32 + n * 7) % 4
-    whole = scoring_masks(cfg, n, seed=3, passes=4)
-    for block in [slice(0, n)] if rows == "all" else row_blocks(n):
-        got = list(dropout_mask_rows(cfg, n, block, seed=3, passes=4))
-        assert [[g.tobytes() for g in p] for p in got] == [
-            [w[block].tobytes() for w in p] for p in whole
-        ]
+    for j, block in enumerate([slice(0, n)] if rows == "all" else row_blocks(n)):
+        m = block.stop - block.start
+        rng = np.random.default_rng((3, j))
+        got = [make_dropout_masks(cfg, m, rng) for _ in range(4)]
+        want = reference_masks(cfg, m, np.random.PCG64((3, j)), passes=4)
+        assert [[g.tobytes() for g in p] for p in got] == [[w.tobytes() for w in p] for p in want]
 
 
 def test_dropout_mask_rows_word_order_is_pinned():
@@ -293,7 +283,7 @@ def test_dropout_mask_rows_word_order_is_pinned():
     first_words = [33375, 55746, 60367, 41743, 55073, 33497, 48632, 17680,
                    59576, 20173, 15785, 2685]
     cfg = small_config(hidden_dims=(12,), dropout_rate=0.5)
-    (mask,) = next(dropout_mask_rows(cfg, 1, slice(0, 1), seed=0, passes=1))
+    (mask,) = make_dropout_masks(cfg, 1, np.random.default_rng(0))
     assert mask.tolist() == [[2.0 if w >= 2**15 else 0.0 for w in first_words]]
     assert np.random.PCG64(0).random_raw(3).astype("<u8").view("<u2").tolist() == first_words
 
@@ -303,8 +293,8 @@ def test_dropout_mask_rows_drop_share_and_mean(rate):
     # over 10 passes of 2B x 32 units the drop share is binomial around
     # cut / 2**16, and the mean mask around 1 (exactly 1 in expectation)
     cfg = small_config(hidden_dims=(32,), dropout_rate=rate)
-    n, passes = 2 * B, 10
-    masks = np.stack([m for (m,) in dropout_mask_rows(cfg, n, slice(0, n), seed=5, passes=passes)])
+    n, rng = 2 * B, np.random.default_rng(5)
+    masks = np.stack([make_dropout_masks(cfg, n, rng)[0] for _ in range(10)])
     p = round(rate * 2**16) / 2**16
     assert abs(p - rate) <= 2**-17
     sd = np.sqrt(p * (1.0 - p) / masks.size)
@@ -312,8 +302,6 @@ def test_dropout_mask_rows_drop_share_and_mean(rate):
     scale = 1.0 / (1.0 - p)
     assert set(np.unique(masks)) == {0.0, scale}
     assert abs(np.mean(masks) - 1.0) < 5.0 * sd * scale
-    if rate == 0.25:
-        assert scale == 1.0 / (1.0 - rate)  # bit-equal to the training masks' scale
 
 
 @pytest.mark.parametrize(
@@ -324,14 +312,14 @@ def test_dropout_mask_rows_rejects_rates_the_16_bit_cut_cannot_hold(rate):
     # dropped; from 1 - 2**-17 on it rounds to 2**16, every unit is dropped
     # and the scale is infinite
     cfg = small_config(dropout_rate=rate)
-    with pytest.raises(ValueError, match=f"dropout_rate {rate}"):
-        next(dropout_mask_rows(cfg, 4, slice(0, 4), seed=0, passes=1))
+    with pytest.raises(ValueError, match=f"make_dropout_masks: dropout_rate {rate}"):
+        make_dropout_masks(cfg, 4, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("rate", [1.5 * 2**-17, 1.0 - 2**-16])
 def test_dropout_mask_rows_accepts_the_rates_next_to_the_edges(rate):
     cfg = small_config(hidden_dims=(4,), dropout_rate=rate)
-    (mask,) = next(dropout_mask_rows(cfg, 4, slice(0, 4), seed=0, passes=1))
+    (mask,) = make_dropout_masks(cfg, 4, np.random.default_rng(0))
     assert np.all(np.isfinite(mask)) and mask.shape == (4, 4)
 
 
