@@ -27,9 +27,9 @@ import numpy as np
 from . import mlp
 from .errors import DataError
 from .numerics import _row_sum, entropy
-from .training import Model, evidential_alpha, softmax_head
+from .training import SCORING_OPTIONS, Model, evidential_alpha, softmax_head
 
-METHODS = ("uios", "entropy", "mc_drop", "ensemble", "tta")
+METHODS = tuple(SCORING_OPTIONS)
 
 DEFAULT_PASSES = 10
 DEFAULT_JITTER_SIGMA = 0.1

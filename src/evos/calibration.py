@@ -15,7 +15,7 @@ low-confidence and should be referred / rejected downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,17 +25,18 @@ from .records import Predictions
 
 @dataclass(frozen=True)
 class ThresholdCalibration:
-    """Full sweep (for reporting) plus the selected operating point."""
+    """The selected operating point, the sweep's rates (for reporting), and
+    the scoring theta was fitted on, without which it means nothing."""
 
-    candidates: np.ndarray  # ascending candidate thresholds
-    tpr: np.ndarray
+    tpr: np.ndarray  # at each ascending candidate threshold
     fpr: np.ndarray
-    objective: np.ndarray
     threshold: float
     tpr_at_threshold: float
     fpr_at_threshold: float
     objective_value: float
-    coefficient: float = 2.0
+    coefficient: float
+    n_wrong: int  # wrong validation predictions
+    scoring: dict  # the method and the options that set its u
 
     def to_dict(self) -> dict:
         """The fields as plain JSON: arrays become lists."""
@@ -43,9 +44,12 @@ class ThresholdCalibration:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ThresholdCalibration":
-        """Inverse of ``to_dict``: lists become float64 arrays, the rest floats."""
+        """Inverse of ``to_dict``: lists become float64 arrays, numbers of
+        float fields floats."""
+        types = {f.name: f.type for f in fields(cls)}
         return cls(**{
-            k: np.asarray(v, dtype=np.float64) if isinstance(v, list) else float(v)
+            k: np.asarray(v, dtype=np.float64) if isinstance(v, list)
+            else float(v) if types[k] == "float" else v
             for k, v in d.items()
         })
 
@@ -86,36 +90,30 @@ def roc_sweep(
     return candidates, tpr, fpr
 
 
-def select_threshold(
-    candidates: np.ndarray,
-    tpr: np.ndarray,
-    fpr: np.ndarray,
-    coefficient: float = 2.0,
+def calibrate(
+    preds: Predictions, coefficient: float = 2.0, method: str = "uios", **options
 ) -> ThresholdCalibration:
-    """Pick the candidate maximizing coefficient * TPR - FPR (ties -> largest).
-    Unchecked: the three arrays are a ``roc_sweep``'s."""
-    candidates = np.asarray(candidates, dtype=np.float64)
-    tpr = np.asarray(tpr, dtype=np.float64)
-    fpr = np.asarray(fpr, dtype=np.float64)
-    objective = coefficient * tpr - fpr
-    best = objective.max()
-    # candidates are ascending, so the last argmax is the largest threshold
-    idx = int(np.flatnonzero(objective == best)[-1])
-    return ThresholdCalibration(
-        candidates=candidates,
-        tpr=tpr,
-        fpr=fpr,
-        objective=objective,
-        threshold=float(candidates[idx]),
-        tpr_at_threshold=float(tpr[idx]),
-        fpr_at_threshold=float(fpr[idx]),
-        objective_value=float(best),
-        coefficient=float(coefficient),
-    )
+    """Records -> wrong labels -> sweep -> the candidate maximizing
+    coefficient * TPR - FPR (ties -> largest).
 
-
-def calibrate(preds: Predictions, coefficient: float = 2.0) -> ThresholdCalibration:
-    """End-to-end: records -> wrong labels -> sweep -> threshold."""
+    ``method`` and ``options`` are the scoring that gave the records' u: a
+    resolved method and the options that set its scale (see
+    ``training.SCORING_OPTIONS``).  Theta records them, as it applies to
+    that scoring only.
+    """
     wrong = wrong_labels(preds.predicted, preds.labels)
     candidates, tpr, fpr = roc_sweep(preds.uncertainty, wrong)
-    return select_threshold(candidates, tpr, fpr, coefficient)
+    objective = coefficient * tpr - fpr
+    # candidates are ascending, so the last argmax is the largest threshold
+    i = int(np.flatnonzero(objective == objective.max())[-1])
+    return ThresholdCalibration(
+        tpr=tpr,
+        fpr=fpr,
+        threshold=float(candidates[i]),
+        tpr_at_threshold=float(tpr[i]),
+        fpr_at_threshold=float(fpr[i]),
+        objective_value=float(objective[i]),
+        coefficient=float(coefficient),
+        n_wrong=int(wrong.sum()),
+        scoring={"method": method, **options},
+    )

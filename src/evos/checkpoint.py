@@ -16,6 +16,10 @@ null for the plain softplus head).  Version 3 drops the annealing schedule
 of the last training epoch, which nothing read after training.  Version 4
 holds the snapshot ensemble's members (``snapshots``: a list of
 ``{weights, biases}`` objects in training order) in the checkpoint itself.
+Version 5 makes theta name the scoring it was fitted on (``calibration.scoring``:
+the method and the options that set its u) and its validation error count
+(``n_wrong``), and drops the sweep's candidates and objective, which
+nothing read.
 """
 
 from __future__ import annotations
@@ -32,22 +36,12 @@ from . import mlp
 from .calibration import ThresholdCalibration
 from .errors import DataError
 from .head import EvidenceGate
-from .training import OBJECTIVES, Model, TrainConfig
+from .training import OBJECTIVES, SCORING_OPTIONS, Model, TrainConfig
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
-_CHECKPOINT_KEYS = {
-    "format_version",
-    "kind",
-    "mlp",
-    "params",
-    "objective",
-    "train_config",
-    "dataset_fingerprint",
-    "calibration",
-    "gate",
-    "snapshots",
-}
+_CHECKPOINT_KEYS = {"format_version", "kind", "mlp", "params", "objective", "train_config",
+                    "dataset_fingerprint", "calibration", "gate", "snapshots"}
 
 
 def encode_array(a: np.ndarray) -> dict:
@@ -102,6 +96,7 @@ _JSON_CHECKS = {
     "str": lambda v: isinstance(v, str),
     "tuple[int, ...]": lambda v: isinstance(v, list) and all(_is_num(d, int) for d in v),
     "np.ndarray": lambda v: isinstance(v, list) and all(map(_is_num, v)),
+    "dict": lambda v: isinstance(v, dict),
 }
 
 
@@ -136,6 +131,19 @@ def _array(obj, path, what: str) -> np.ndarray:
         return decode_array(obj)
     except ValueError as e:  # also bad base64, or data that does not fit the shape
         raise DataError(f"{path}: {what}: {e}") from None
+
+
+def _check_scoring(obj: dict, path) -> None:
+    """DataError unless a calibration's ``scoring`` names a method of
+    ``SCORING_OPTIONS`` and holds exactly the options that set its u."""
+    method, methods = obj.get("method"), tuple(SCORING_OPTIONS)  # a tuple: method may be a list
+    if method not in methods:
+        raise DataError(f"{path}: calibration.scoring.method {method!r}, not one of {methods}")
+    _exact(obj, {"method", *SCORING_OPTIONS[method]}, path, "calibration.scoring")
+    for k in SCORING_OPTIONS[method]:
+        kind = "int" if k == "passes" else "float"
+        if not _JSON_CHECKS[kind](obj[k]):
+            raise DataError(f"{path}: calibration.scoring.{k}: expected {kind}, got {obj[k]!r}")
 
 
 def save_checkpoint(
@@ -210,8 +218,8 @@ def load_checkpoint(path) -> tuple[Model, TrainConfig, str, ThresholdCalibration
     obj = _exact(_load(path), _CHECKPOINT_KEYS, path, "checkpoint")
     if obj["format_version"] != FORMAT_VERSION:
         raise DataError(
-            f"{path}: format_version {obj['format_version']!r}, "
-            f"this build reads {FORMAT_VERSION}"
+            f"{path}: format_version {obj['format_version']!r}, this build reads "
+            f"{FORMAT_VERSION}; re-run `evos train` and `evos calibrate` to write one"
         )
     if obj["kind"] != "checkpoint":
         raise DataError(f"{path}: kind {obj['kind']!r}, expected 'checkpoint'")
@@ -227,6 +235,7 @@ def load_checkpoint(path) -> tuple[Model, TrainConfig, str, ThresholdCalibration
     calib = obj["calibration"]
     if calib is not None:
         calib = _exact(calib, ThresholdCalibration, path, "calibration")
+        _check_scoring(calib["scoring"], path)
         calib = ThresholdCalibration.from_dict(calib)
     model = Model(
         config=cfg,

@@ -28,7 +28,8 @@ from .checkpoint import file_sha256, load_checkpoint, save_checkpoint, save_repo
 from .data import OOD_LABEL, gen_blobs, gen_ood, load_csv, save_csv, split_622
 from .errors import DataError, NumericError
 from .metrics import evaluate, ood_detection_rate
-from .training import OBJECTIVES, TrainConfig, predict_records, resolve_method, train
+from .training import (OBJECTIVES, SCORING_OPTIONS, TrainConfig, predict_records,
+                       resolve_method, train)
 
 DEFAULT_SEED = 0
 
@@ -96,9 +97,10 @@ def _load_labelled(path, name: str):
     return ds
 
 
-def _scoring(args) -> dict:
-    """The ``predict_records`` keywords that the scoring flags set."""
-    return {"passes": args.passes, "jitter_sigma": args.jitter_sigma, "seed": args.seed}
+def _scoring(args, method: str) -> dict:
+    """A resolved ``method`` and the options of ``args`` that set its u: what
+    a calibrated theta records, and ``predict_records``' keywords but the seed."""
+    return {"method": method, **{k: getattr(args, k) for k in SCORING_OPTIONS[method]}}
 
 
 # ---------------------------------------------------------------------------
@@ -106,53 +108,29 @@ def _scoring(args) -> dict:
 
 
 def cmd_gen_data(args) -> int:
-    ds = gen_blobs(
-        n_per_class=args.n_per_class,
-        n_classes=args.classes,
-        dim=args.dim,
-        sigma=args.sigma,
-        radius=args.radius,
-        seed=args.seed,
-    )
-    tr, va, te = split_622(ds, seed=args.seed)
+    blobs = dict(n_per_class=args.n_per_class, n_classes=args.classes, dim=args.dim,
+                 radius=args.radius)
+    ds = gen_blobs(**blobs, sigma=args.sigma, seed=args.seed)
     centers = np.asarray(ds.meta["centers"])
     os.makedirs(args.out_dir, exist_ok=True)
     written = {}
-    for tag, part in (("train", tr), ("val", va), ("test", te)):
-        path = os.path.join(args.out_dir, f"{tag}.csv")
+
+    def write(name: str, part) -> None:
+        path = os.path.join(args.out_dir, name)
         save_csv(part, path)
-        written[f"{tag}.csv"] = file_sha256(path)
+        written[name] = file_sha256(path)
+
+    for tag, part in zip(("train", "val", "test"), split_622(ds, seed=args.seed)):
+        write(f"{tag}.csv", part)
     kinds = [k.strip() for k in str(args.ood_kinds).split(",") if k.strip()]
     for i, kind in enumerate(kinds):
         ood = gen_ood(kind, args.ood_n, centers, args.sigma, seed=args.seed + 1000 + i)
-        path = os.path.join(args.out_dir, f"ood_{kind}.csv")
-        save_csv(ood, path)
-        written[f"ood_{kind}.csv"] = file_sha256(path)
+        write(f"ood_{kind}.csv", ood)
     if args.unseen_sigma > 0:
-        unseen = gen_blobs(
-            n_per_class=args.n_per_class,
-            n_classes=args.classes,
-            dim=args.dim,
-            sigma=args.unseen_sigma,
-            radius=args.radius,
-            seed=args.seed + 1,
-            name="unseen",
-        )
-        path = os.path.join(args.out_dir, "unseen.csv")
-        save_csv(unseen, path)
-        written["unseen.csv"] = file_sha256(path)
-    manifest = {
-        "classes": args.classes,
-        "dim": args.dim,
-        "n_per_class": args.n_per_class,
-        "sigma": args.sigma,
-        "radius": args.radius,
-        "ood_kinds": kinds,
-        "ood_n": args.ood_n,
-        "unseen_sigma": args.unseen_sigma,
-        "seed": args.seed,
-        "files": written,
-    }
+        unseen = gen_blobs(**blobs, sigma=args.unseen_sigma, seed=args.seed + 1, name="unseen")
+        write("unseen.csv", unseen)
+    keys = ("classes", "dim", "n_per_class", "sigma", "radius", "ood_n", "unseen_sigma", "seed")
+    manifest = {**{k: getattr(args, k) for k in keys}, "ood_kinds": kinds, "files": written}
     write_json(manifest, os.path.join(args.out_dir, "manifest.json"))
     print(f"wrote {len(written)} csv files + manifest to {args.out_dir}")
     return 0
@@ -208,15 +186,14 @@ def cmd_train(args) -> int:
 def cmd_calibrate(args) -> int:
     model, tc, fingerprint, _ = load_checkpoint(args.checkpoint)
     val_set = _load_labelled(args.val_csv, "val")
-    method = resolve_method(model, args.method)
-    recs = predict_records(model, val_set, method, **_scoring(args))
-    cal = calibrate(recs, coefficient=args.coefficient)
-    n_wrong = int(np.sum(recs.predicted != recs.labels))
+    scoring = _scoring(args, resolve_method(model, args.method))
+    recs = predict_records(model, val_set, **scoring, seed=args.seed)
+    cal = calibrate(recs, args.coefficient, **scoring)
     save_checkpoint(args.checkpoint, model, tc, fingerprint, calibration=cal)
     print(
-        f"method {method}: threshold {cal.threshold:.6f} "
+        f"method {scoring['method']}: threshold {cal.threshold:.6f} "
         f"(TPR {cal.tpr_at_threshold:.3f}, FPR {cal.fpr_at_threshold:.3f}, "
-        f"objective {cal.objective_value:.3f}; {n_wrong}/{len(recs)} val errors)"
+        f"objective {cal.objective_value:.3f}; {cal.n_wrong}/{len(recs)} val errors)"
     )
     return 0
 
@@ -228,19 +205,25 @@ def cmd_calibrate(args) -> int:
 def cmd_eval(args) -> int:
     model, _, _, cal = load_checkpoint(args.checkpoint)
     test_set = _load_labelled(args.test_csv, "test")
-    method = resolve_method(model, args.method)
-    recs = predict_records(model, test_set, method, **_scoring(args))
-    sections = {"unthresholded": evaluate(recs).to_dict(), "method": method}
+    if args.thresholded and cal is None:
+        raise DataError(
+            "eval --thresholded: checkpoint has no calibrated threshold; "
+            "run `evos calibrate` first"
+        )
+    # theta applies to the scoring it was fitted on only, which auto then means
+    auto = cal.scoring["method"] if args.thresholded else resolve_method(model, "auto")
+    scoring = _scoring(args, auto if args.method == "auto" else args.method)
+    if args.thresholded and scoring != cal.scoring:
+        k = next(k for k in scoring if scoring[k] != cal.scoring[k])  # method first
+        raise DataError(f"eval --thresholded: theta was fitted with {k} {cal.scoring[k]}, this "
+                        f"run scores with {k} {scoring[k]}; re-run `evos calibrate` with it")
+    recs = predict_records(model, test_set, **scoring, seed=args.seed)
+    sections = {"unthresholded": evaluate(recs).to_dict(), "method": scoring["method"]}
     line = (
         f"unthresholded: acc {sections['unthresholded']['accuracy']:.4f} "
         f"macro-F1 {sections['unthresholded']['per_class']['macro_f1']:.4f}"
     )
     if args.thresholded:
-        if cal is None:
-            raise DataError(
-                "eval --thresholded: checkpoint has no calibrated threshold; "
-                "run `evos calibrate` first"
-            )
         rep = evaluate(recs, cal.threshold)
         sections["thresholded"] = rep.to_dict()
         sections["threshold"] = cal.threshold
@@ -279,12 +262,12 @@ def cmd_ood_eval(args) -> int:
         raise DataError(
             "ood-eval: checkpoint has no calibrated threshold; run `evos calibrate` first"
         )
-    method = resolve_method(model, args.method)
-    sections = {"method": method, "threshold": cal.threshold, "files": {}}
+    # theta applies to the scoring it was fitted on, and only to that
+    sections = {"method": cal.scoring["method"], "threshold": cal.threshold, "files": {}}
     inputs = {"checkpoint": file_sha256(args.checkpoint)}
     for path in args.ood_csv:
         ds = load_csv(path, name=path)
-        recs = predict_records(model, ds, method, **_scoring(args))
+        recs = predict_records(model, ds, **cal.scoring, seed=args.seed)
         rate = ood_detection_rate(recs.uncertainty, cal.threshold)
         counts, _ = np.histogram(recs.uncertainty, bins=args.bins, range=(0.0, 1.0))
         sections["files"][path] = {
@@ -298,9 +281,7 @@ def cmd_ood_eval(args) -> int:
         for line in _histogram_text(counts):
             print(line)
     if args.report:
-        save_report(
-            args.report, command="ood-eval", seed=args.seed, inputs=inputs, sections=sections
-        )
+        save_report(args.report, "ood-eval", args.seed, inputs, sections)
     return 0
 
 
@@ -347,13 +328,13 @@ def cmd_compare(args) -> int:
     def score(m):
         """One method's row and seconds per test row; shares no state with
         the other methods, so they may run at the same time."""
-        model, options = models[ckpts[m]], _scoring(args)
-        val_recs = predict_records(model, val_set, m, **options)
-        cal = calibrate(val_recs, coefficient=args.coefficient)
+        model, scoring = models[ckpts[m]], _scoring(args, m)
+        val_recs = predict_records(model, val_set, **scoring, seed=args.seed)
+        cal = calibrate(val_recs, args.coefficient, **scoring)
         # this thread's CPU time: other methods running alongside do not
         # count against this one
         t0 = time.thread_time()
-        test_recs = predict_records(model, test_set, m, **options)
+        test_recs = predict_records(model, test_set, **scoring, seed=args.seed)
         elapsed = time.thread_time() - t0
         rep = evaluate(test_recs)
         row = {
@@ -364,7 +345,8 @@ def cmd_compare(args) -> int:
         }
         if ood_sets:
             u_all = np.concatenate(
-                [predict_records(model, o, m, **options).uncertainty for o in ood_sets]
+                [predict_records(model, o, **scoring, seed=args.seed).uncertainty
+                 for o in ood_sets]
             )
             row["ood_detection_rate"] = ood_detection_rate(u_all, cal.threshold)
         return row, elapsed / len(test_set)
@@ -472,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--ood-csv", nargs="+", required=True)
     o.add_argument("--report")
     o.add_argument("--bins", type=int, default=10)
-    scoring(o)
 
     m = command("compare", cmd_compare, "compare uncertainty methods side by side")
     m.add_argument("--checkpoint-dir", required=True,

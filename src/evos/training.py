@@ -265,6 +265,12 @@ def predict(model: Model, features: np.ndarray) -> SubjectiveOpinion:
     return opinion_from_alpha(evidential_alpha(model, features))
 
 
+# each scoring method and the ``predict_records`` options that set the scale
+# of its u, which a calibrated theta records (the seed sets the draws only)
+SCORING_OPTIONS = {"uios": (), "entropy": (), "mc_drop": ("passes",), "ensemble": (),
+                   "tta": ("passes", "jitter_sigma")}
+
+
 def resolve_method(model: Model, method: str) -> str:
     """``method``, with auto read as uios for evidential models, else entropy."""
     if method != "auto":

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from evos import baselines
-from evos.calibration import calibrate, roc_sweep, select_threshold, wrong_labels
+from evos.calibration import calibrate, wrong_labels
 from evos.checkpoint import file_sha256, load_checkpoint, save_checkpoint
 from evos.cli import main as cli_main
 from evos.data import load_csv
@@ -264,6 +264,13 @@ def _brute_force(u, wrong, coefficient=2.0):
     return best_theta, best_obj
 
 
+def _records(u, wrong) -> Predictions:
+    """Records that predict class 0, wrong on the rows where ``wrong`` is 1."""
+    n = len(u)
+    return Predictions(predicted=np.zeros(n, dtype=np.int64), labels=np.asarray(wrong),
+                       uncertainty=np.asarray(u, dtype=float), probs=np.full((n, 2), 0.5))
+
+
 def test_criterion_5_threshold_matches_brute_force():
     rng = np.random.default_rng(5)
     checked = 0
@@ -273,15 +280,13 @@ def test_criterion_5_threshold_matches_brute_force():
         wrong = rng.integers(0, 2, size=n)
         if wrong.min() == wrong.max():
             continue
-        cal = select_threshold(*roc_sweep(u, wrong))
+        cal = calibrate(_records(u, wrong))
         theta, obj = _brute_force(u, wrong)
         assert cal.threshold == pytest.approx(theta), f"trial {trial}"
         assert cal.objective_value == pytest.approx(obj), f"trial {trial}"
         checked += 1
 
-    crafted = select_threshold(
-        *roc_sweep(np.array([0.2, 0.4, 0.6, 0.8]), np.array([0, 0, 1, 1]))
-    )
+    crafted = calibrate(_records(np.array([0.2, 0.4, 0.6, 0.8]), np.array([0, 0, 1, 1])))
     ok = crafted.threshold == pytest.approx(0.6) and crafted.objective_value == pytest.approx(2.0)
     assert check(
         "5",

@@ -1,11 +1,7 @@
 """The five uncertainty scoring methods share one contract: per sample, a
 probability vector plus a scalar uncertainty in [0, 1]."""
 
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -477,17 +473,9 @@ def test_predict_records_bit_identical_to_the_block_reference(
         assert np.array_equal(recs.labels, labels), method
 
 
-def test_scoring_bit_identity_holds_under_a_second_blas_kernel():
-    # under OpenBLAS's Haswell kernels a row's product bits depend on the
-    # shape of its matrix; a child process selects them in its own environment
-    here = Path(__file__).resolve().parent
-    path = [str(here.parent / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                           "-k", "bit_identical or head_sees", "test_mlp.py", Path(__file__).name],
-                          cwd=here, env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "25 passed" in proc.stdout
+def test_scoring_bit_identity_holds_under_a_second_blas_kernel(haswell_passes):
+    passed, output = haswell_passes
+    assert passed["test_mlp.py"] + passed["test_baselines.py"] == 25, output
 
 
 @pytest.mark.parametrize("scorer", ["evidential_alpha", "predict_records", "entropy_score"])

@@ -10,30 +10,40 @@ directly, by module attribute and keyword; the same holds for those names.
 A traced name must also be one that runs: a function nothing calls reads 0
 calls on every workload, so each target needs a caller in ``src/`` or in
 ``perfbench/workloads.py``, and a traced training pins the loss rows.
+
+The workloads also read the checkpoint file, through ``perfbench/oracles.py``
+and by key; the fields they read are pinned here too.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import evos
 import evos.cli  # noqa: F401  the tracer binds names in every module of its table
 from evos import losses
+from evos.checkpoint import load_checkpoint
+from evos.cli import main
 from evos.data import gen_blobs
 from evos.training import TrainConfig, train
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-TRACER = PERFBENCH / "tracer.py"
 SRC = Path(evos.__file__).resolve().parent
 
 
+def load_perfbench(name: str):
+    """``perfbench/<name>.py``, loaded by path: perfbench is not a package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+    return load_perfbench("tracer")
 
 
 def tracer_targets() -> dict:
@@ -177,3 +187,28 @@ def test_rows_become_records_in_one_place():
     assert callers == {"from_scores": ["training.predict_records"],
                        "score_method": ["training.predict_records"]}
     assert not {"evidential_scores", "_method_records"} & names
+
+
+def test_a_calibrated_checkpoint_has_the_fields_the_workloads_read(tmp_path, capsys):
+    # the reference and screen workloads compute the validation error-AUROC
+    # from calibration.tpr and .fpr, read theta by key, and unpack
+    # load_checkpoint into four values
+    data, ckpt = tmp_path / "data", tmp_path / "model.json"
+    assert main(["gen-data", "--out-dir", str(data), "--k", "3", "--n-per-class", "60",
+                 "--ood-n", "10", "--seed", "0"]) == 0
+    assert main(["train", "--train-csv", str(data / "train.csv"), "--out", str(ckpt),
+                 "--epochs", "30", "--seed", "0"]) == 0
+    assert main(["calibrate", "--checkpoint", str(ckpt), "--val-csv",
+                 str(data / "val.csv")]) == 0
+    capsys.readouterr()
+    read = load_perfbench("oracles").read_checkpoint(ckpt)
+    assert read["calibration"] == json.loads(ckpt.read_text())["calibration"]
+    cal = read["calibration"]
+    assert isinstance(cal["tpr"], list) and isinstance(cal["fpr"], list)
+    assert len(cal["tpr"]) == len(cal["fpr"]) > 1
+    assert isinstance(cal["threshold"], float)
+    loaded = load_checkpoint(ckpt)
+    assert len(loaded) == 4
+    model, _, _, theta = loaded
+    assert theta.threshold == cal["threshold"]
+    assert [w.shape for w in read["weights"]] == [w.shape for w in model.params.weights]

@@ -1,5 +1,6 @@
 """Threshold selection: the crafted 4-record case, a brute-force oracle over
-random instances, boundary semantics, and sweep invariants."""
+random instances, boundary semantics, sweep invariants, and what theta
+records of its fit."""
 
 import tracemalloc
 
@@ -9,13 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from evos.calibration import (
-    ThresholdCalibration,
-    calibrate,
-    roc_sweep,
-    select_threshold,
-    wrong_labels,
-)
+from evos.calibration import ThresholdCalibration, calibrate, roc_sweep, wrong_labels
 from evos.errors import CalibrationError, DataError
 from evos.records import Predictions, from_scores
 
@@ -83,13 +78,13 @@ def test_roc_sweep_degenerate_raises():
 
 
 # ---------------------------------------------------------------------------
-# select_threshold
+# threshold selection
 
 
 def test_crafted_four_record_case():
     u = np.array([0.1, 0.2, 0.6, 0.8])
     wrong = np.array([0, 0, 1, 1])
-    cal = select_threshold(*roc_sweep(u, wrong))
+    cal = calibrate(records_from(u, wrong))
     assert cal.threshold == pytest.approx(0.6)
     assert cal.objective_value == pytest.approx(2.0)
     assert cal.tpr_at_threshold == 1.0
@@ -99,7 +94,7 @@ def test_crafted_four_record_case():
 def test_identical_uncertainties_single_candidate():
     u = np.full(6, 0.5)
     wrong = np.array([0, 1, 0, 1, 0, 1])
-    cal = select_threshold(*roc_sweep(u, wrong))
+    cal = calibrate(records_from(u, wrong))
     # candidates: 0.5 and the sentinel; both score 2*1-1=1 vs 0; 0.5 wins
     assert cal.threshold == pytest.approx(0.5)
 
@@ -125,7 +120,7 @@ def test_select_threshold_matches_brute_force_sweep():
         wrong = rng.integers(0, 2, size=n)
         if wrong.min() == wrong.max():
             continue
-        cal = select_threshold(*roc_sweep(u, wrong))
+        cal = calibrate(records_from(u, wrong))
         theta, obj = _brute_force(u, wrong)
         assert cal.threshold == pytest.approx(theta), f"trial {trial}"
         assert cal.objective_value == pytest.approx(obj), f"trial {trial}"
@@ -140,7 +135,7 @@ def test_select_threshold_brute_force_any_coefficient(seed, coefficient):
     wrong = rng.integers(0, 2, size=n)
     if wrong.min() == wrong.max():
         return
-    cal = select_threshold(*roc_sweep(u, wrong), coefficient=coefficient)
+    cal = calibrate(records_from(u, wrong), coefficient=coefficient)
     theta, obj = _brute_force(u, wrong, coefficient)
     assert cal.threshold == pytest.approx(theta)
     assert cal.objective_value == pytest.approx(obj)
@@ -164,7 +159,7 @@ def test_roc_sweep_heavy_ties_match_brute_force(rows):
     for theta, t, f in zip(candidates, tpr, fpr):
         flag = u >= theta
         assert t == flag[wrong == 1].mean() and f == flag[wrong == 0].mean()
-    cal = select_threshold(candidates, tpr, fpr)
+    cal = calibrate(records_from(u, wrong))
     theta, obj = _brute_force(u, wrong)
     assert cal.threshold == theta
     assert cal.objective_value == pytest.approx(obj)
@@ -191,9 +186,11 @@ def test_threshold_in_candidates_and_maximal():
     rng = np.random.default_rng(1)
     u = rng.random(40)
     wrong = rng.integers(0, 2, size=40)
-    cal = select_threshold(*roc_sweep(u, wrong))
-    assert cal.threshold in cal.candidates
-    assert cal.objective_value == pytest.approx(cal.objective.max())
+    cal = calibrate(records_from(u, wrong))
+    candidates, tpr, fpr = roc_sweep(u, wrong)
+    i = list(candidates).index(cal.threshold)
+    assert (cal.tpr_at_threshold, cal.fpr_at_threshold) == (tpr[i], fpr[i])
+    assert cal.objective_value == pytest.approx((2.0 * tpr - fpr).max())
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +203,19 @@ def test_calibrate_end_to_end_matches_sweep():
     wrong = rng.integers(0, 2, size=30)
     recs = records_from(u, wrong)
     cal = calibrate(recs)
-    direct = select_threshold(*roc_sweep(u, wrong))
-    assert cal.threshold == direct.threshold
+    _, tpr, fpr = roc_sweep(u, wrong)
+    assert cal.tpr.tobytes() == tpr.tobytes() and cal.fpr.tobytes() == fpr.tobytes()
+    assert cal.threshold == _brute_force(u, wrong)[0]
+    assert cal.n_wrong == wrong.sum()
+
+
+def test_theta_records_the_scoring_it_was_fitted_on():
+    rng = np.random.default_rng(5)
+    recs = records_from(rng.random(30), rng.integers(0, 2, size=30))
+    assert calibrate(recs).scoring == {"method": "uios"}
+    cal = calibrate(recs, 1.5, "tta", passes=4, jitter_sigma=0.2)
+    assert cal.scoring == {"method": "tta", "passes": 4, "jitter_sigma": 0.2}
+    assert cal.threshold == calibrate(recs, 1.5).threshold
 
 
 def test_calibrate_rejects_perfect_records():
@@ -238,11 +246,13 @@ def test_flag_partition_invariant_under_monotone_transforms(seed):
     wrong = rng.integers(0, 2, size=n)
     if wrong.min() == wrong.max():
         return
-    cal = select_threshold(*roc_sweep(u, wrong))
+    cal = calibrate(records_from(u, wrong))
     flags = u >= cal.threshold
-    for transform in (lambda v: v**3, lambda v: np.expm1(2 * v), lambda v: v / 3 + 0.1):
+    # records hold u in [0, 1], so each transform maps [0, 1) into it
+    transforms = (lambda v: v**3, lambda v: np.expm1(2 * v) / np.expm1(2), lambda v: v / 3 + 0.1)
+    for transform in transforms:
         tu = transform(u)
-        tcal = select_threshold(*roc_sweep(tu, wrong))
+        tcal = calibrate(records_from(tu, wrong))
         assert np.array_equal(tu >= tcal.threshold, flags)
 
 
@@ -258,6 +268,7 @@ def test_calibration_dict_round_trip():
     cal = calibrate(recs)
     clone = ThresholdCalibration.from_dict(cal.to_dict())
     assert clone.threshold == cal.threshold
-    assert_allclose(clone.candidates, cal.candidates)
-    assert_allclose(clone.objective, cal.objective)
+    assert_allclose(clone.tpr, cal.tpr)
+    assert_allclose(clone.fpr, cal.fpr)
     assert clone.coefficient == cal.coefficient
+    assert clone.n_wrong == cal.n_wrong and clone.scoring == cal.scoring

@@ -45,7 +45,7 @@ def make_calibration():
         uncertainty=np.array([0.1, 0.8, 0.3, 0.6]),
         probs=np.full((4, 2), 0.5),
     )
-    return calibrate(preds)
+    return calibrate(preds, 2.0, "tta", passes=4, jitter_sigma=0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +112,14 @@ def test_checkpoint_round_trip_with_calibration(tmp_path, trained):
     _, _, _, calib_back = load_checkpoint(path)
     assert calib_back.threshold == calib.threshold
     assert calib_back.coefficient == calib.coefficient
-    assert_allclose(calib_back.candidates, calib.candidates)
     assert_allclose(calib_back.tpr, calib.tpr)
     assert_allclose(calib_back.fpr, calib.fpr)
-    assert_allclose(calib_back.objective, calib.objective)
+    assert calib_back.n_wrong == calib.n_wrong == 2
+    assert calib_back.scoring == calib.scoring == {"method": "tta", "passes": 4, "jitter_sigma": 0.2}
+    # the sweep's candidates and objective are not stored
+    assert set(json.loads(path.read_text())["calibration"]) == {
+        "tpr", "fpr", "threshold", "tpr_at_threshold", "fpr_at_threshold", "objective_value",
+        "coefficient", "n_wrong", "scoring"}
 
 
 def test_checkpoint_rerun_is_byte_identical(tmp_path, trained):
@@ -201,6 +205,14 @@ _MISFITS = {
         lambda obj: obj["calibration"].update(extra=1),
         r"bad calibration schema.*unknown.*extra",
     ),
+    "calibration-scoring-option-of-another-method": (
+        lambda obj: obj["calibration"]["scoring"].update(method="mc_drop"),
+        r"bad calibration\.scoring schema.*unknown.*jitter_sigma",
+    ),
+    "calibration-scoring-without-its-options": (
+        lambda obj: obj["calibration"]["scoring"].pop("passes"),
+        r"bad calibration\.scoring schema.*missing.*passes",
+    ),
     "two-weights-for-three-layers": (lambda obj: obj["params"]["weights"].pop(), "layer sizes"),
 }
 
@@ -237,6 +249,20 @@ _WRONG_VALUES = {
         ("calibration", "threshold"), "0.5", r"calibration\.threshold"
     ),
     "calibration-tpr-string-entry": (("calibration", "tpr"), ["x"], r"calibration\.tpr"),
+    "calibration-n_wrong-float": (("calibration", "n_wrong"), 2.5, r"calibration\.n_wrong"),
+    "calibration-scoring-not-an-object": (("calibration", "scoring"), "tta", r"calibration\.scoring"),
+    "calibration-scoring-method-auto": (
+        ("calibration", "scoring", "method"), "auto", r"calibration\.scoring\.method 'auto'"
+    ),
+    "calibration-scoring-method-list": (
+        ("calibration", "scoring", "method"), ["tta"], r"calibration\.scoring\.method \['tta'\]"
+    ),
+    "calibration-scoring-passes-float": (
+        ("calibration", "scoring", "passes"), 4.0, r"calibration\.scoring\.passes: expected int"
+    ),
+    "calibration-scoring-jitter_sigma-string": (
+        ("calibration", "scoring", "jitter_sigma"), "0.2", r"calibration\.scoring\.jitter_sigma"
+    ),
     "array-without-data": (("params", "weights", 0), {"shape": [2, 32]}, r"params\.weights\[0\]"),
     "array-negative-size": (
         ("params", "weights", 0, "shape"), [-1, 32], r"params\.weights\[0\]"

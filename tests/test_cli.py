@@ -14,7 +14,7 @@ from evos.checkpoint import file_sha256, load_checkpoint, save_checkpoint
 from evos.cli import main
 from evos.data import load_csv
 from evos.errors import DataError, NumericError
-from evos.metrics import evaluate
+from evos.metrics import evaluate, ood_detection_rate
 from evos.training import predict_records
 from test_bindings import load_tracer
 
@@ -483,7 +483,7 @@ OPTION_TABLE = {
                   snapshot_count=5, seed=0),
     "calibrate": dict(method="auto", coefficient=2.0, passes=10, jitter_sigma=0.1, seed=0),
     "eval": dict(method="auto", thresholded=False, passes=10, jitter_sigma=0.1, seed=0),
-    "ood-eval": dict(method="auto", bins=10, passes=10, jitter_sigma=0.1, seed=0),
+    "ood-eval": dict(bins=10, seed=0),
     "compare": dict(methods="uios,entropy,mc_drop,ensemble,tta", coefficient=2.0, passes=10,
                     jitter_sigma=0.1, seed=0),
 }
@@ -497,9 +497,13 @@ CONFIGURED = {
                   snapshot_count=0, seed=9),
     "calibrate": dict(method="tta", coefficient=1.5, passes=3, jitter_sigma=0.2, seed=9),
     "eval": dict(method="mc_drop", thresholded=True, passes=3, jitter_sigma=0.2, seed=9),
-    "ood-eval": dict(method="entropy", bins=4, passes=3, jitter_sigma=0.2, seed=9),
+    "ood-eval": dict(bins=4, seed=9),
     "compare": dict(methods="uios,tta", coefficient=3.0, passes=3, jitter_sigma=0.2, seed=9),
 }
+
+# Keys a command once took and now rejects: ood-eval scores with theta's own
+# method and options.
+REMOVED = {"ood-eval": ("method", "passes", "jitter_sigma")}
 
 MINIMAL_ARGV = {
     "gen-data": ["--out-dir", "d"],
@@ -543,7 +547,7 @@ def test_config_file_sets_every_option(command, monkeypatch, tmp_path):
 @pytest.mark.parametrize("command", COMMANDS)
 def test_config_file_rejects_every_other_key(command, monkeypatch, tmp_path, capsys):
     _, seen = resolved(monkeypatch, command)
-    others = sorted(set(seen) - set(OPTION_TABLE[command]))
+    others = sorted(set(seen) - set(OPTION_TABLE[command]) | set(REMOVED.get(command, ())))
     assert {"command", "config", "func"} <= set(others)
     for key in others:
         cfg = tmp_path / f"{key}.cfg"
@@ -757,6 +761,110 @@ def test_compare_needs_two_snapshots_before_it_scores(
     assert run_compare(one, data_dir) == 3
     assert "holds 1 snapshots, ensemble needs >= 2" in capsys.readouterr().err
     assert scored == []
+
+
+# ---------------------------------------------------------------------------
+# theta applies to the scoring it was fitted on
+
+
+def calibrate_copy(cmp_dir, data_dir, artifact, tmp_path, *flags):
+    """A copy of a `compare` artifact, calibrated on val.csv with ``flags``."""
+    ckpt = tmp_path / f"calibrated_{artifact}"
+    shutil.copyfile(cmp_dir / artifact, ckpt)
+    assert run("calibrate", "--checkpoint", str(ckpt), "--val-csv", str(data_dir / "val.csv"),
+               *flags) == 0
+    return ckpt
+
+
+def test_theta_records_the_method_and_options_it_was_fitted_with(
+    cmp_dir, data_dir, tmp_path, capsys
+):
+    for artifact, flags, scoring in (
+        ("standard.json", [], {"method": "entropy"}),
+        ("standard.json", ["--method", "tta", "--passes", "4"],
+         {"method": "tta", "passes": 4, "jitter_sigma": 0.1}),
+        ("mcdrop.json", ["--method", "mc_drop", "--jitter-sigma", "0.3"],
+         {"method": "mc_drop", "passes": 10}),
+    ):
+        ckpt = calibrate_copy(cmp_dir, data_dir, artifact, tmp_path, *flags)
+        cal = load_checkpoint(ckpt)[3]
+        assert cal.scoring == scoring
+        out = capsys.readouterr().out
+        assert out.startswith(f"method {scoring['method']}:")
+        assert f"; {cal.n_wrong}/" in out and cal.n_wrong > 0
+
+
+def test_eval_thresholded_refuses_a_method_other_than_theta_s(
+    cmp_dir, data_dir, tmp_path, capsys
+):
+    # an entropy theta (0.1 or so) on tta's u (1e-4 or so) referred no row
+    ckpt = calibrate_copy(cmp_dir, data_dir, "standard.json", tmp_path)
+    capsys.readouterr()
+    before = file_sha256(ckpt)
+    report = tmp_path / "eval.json"
+    rc = run("eval", "--checkpoint", str(ckpt), "--test-csv", str(data_dir / "test.csv"),
+             "--method", "tta", "--thresholded", "--report", str(report))
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: eval --thresholded: theta was fitted with method entropy")
+    assert "scores with method tta" in err
+    assert file_sha256(ckpt) == before and not report.exists()
+    # without the referral, any method may score
+    assert run("eval", "--checkpoint", str(ckpt), "--test-csv", str(data_dir / "test.csv"),
+               "--method", "tta") == 0
+    capsys.readouterr()
+
+
+def test_eval_thresholded_refuses_passes_other_than_theta_s(cmp_dir, data_dir, tmp_path, capsys):
+    ckpt = calibrate_copy(cmp_dir, data_dir, "mcdrop.json", tmp_path,
+                          "--method", "mc_drop", "--passes", "3")
+    capsys.readouterr()
+    test = ("eval", "--checkpoint", str(ckpt), "--test-csv", str(data_dir / "test.csv"),
+            "--thresholded")
+    assert run(*test) == 3  # auto is theta's mc_drop, at the default 10 passes
+    err = capsys.readouterr().err
+    assert "theta was fitted with passes 3, this run scores with passes 10" in err
+    # an option the method does not read is no conflict
+    assert run(*test, "--passes", "3", "--jitter-sigma", "0.5") == 0
+    assert "thresholded @" in capsys.readouterr().out
+
+
+def test_ood_eval_and_auto_eval_score_with_theta_s_method(cmp_dir, data_dir, tmp_path, capsys):
+    ckpt = calibrate_copy(cmp_dir, data_dir, "standard.json", tmp_path, "--method", "tta")
+    report = tmp_path / "ood.json"
+    ring = data_dir / "ood_ring.csv"
+    assert run("ood-eval", "--checkpoint", str(ckpt), "--ood-csv", str(ring),
+               "--report", str(report), "--seed", "3") == 0
+    assert run("eval", "--checkpoint", str(ckpt), "--test-csv", str(data_dir / "test.csv"),
+               "--thresholded", "--report", str(tmp_path / "eval.json")) == 0
+    capsys.readouterr()
+    model, _, _, cal = load_checkpoint(ckpt)
+    u = predict_records(model, load_csv(ring), "tta", passes=10, jitter_sigma=0.1,
+                        seed=3).uncertainty
+    got = json.loads(report.read_text())["sections"]
+    assert got["method"] == "tta" and got["threshold"] == cal.threshold
+    assert got["files"][str(ring)]["detection_rate"] == ood_detection_rate(u, cal.threshold)
+    assert json.loads((tmp_path / "eval.json").read_text())["sections"]["method"] == "tta"
+
+
+@pytest.mark.parametrize("flag", ["--method", "--passes", "--jitter-sigma"])
+def test_ood_eval_takes_no_scoring_flag(flag, calibrated_path, data_dir, capsys):
+    rc = run("ood-eval", "--checkpoint", str(calibrated_path),
+             "--ood-csv", str(data_dir / "ood_ring.csv"), flag, "1")
+    assert rc == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_a_format_4_checkpoint_asks_for_a_rerun(calibrated_path, data_dir, tmp_path, capsys):
+    old = tmp_path / "v4.json"
+    obj = json.loads(calibrated_path.read_text())
+    obj["format_version"] = 4
+    old.write_text(json.dumps(obj))
+    rc = run("eval", "--checkpoint", str(old), "--test-csv", str(data_dir / "test.csv"))
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "format_version 4, this build reads 5" in err
+    assert "re-run `evos train` and `evos calibrate`" in err
 
 
 def test_compare_full_run(cmp_dir, data_dir, tmp_path, capsys):

@@ -3,11 +3,7 @@ schedule logging, snapshots, determinism, and prediction semantics."""
 
 import dataclasses
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,17 +383,9 @@ def test_training_bit_identical_to_per_step_loss(objective, dropout_rate):
     assert result.log == log
 
 
-def test_training_bit_identity_holds_under_a_second_blas_kernel():
-    # under OpenBLAS's Haswell kernels a row's product bits depend on the
-    # shape of its matrix; a child process selects them in its own environment
-    root = Path(__file__).resolve().parents[1]
-    path = [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": os.pathsep.join(path)}
-    test = f"{Path(__file__).name}::test_training_bit_identical_to_per_step_loss"
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
-                          cwd=Path(__file__).parent, env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "6 passed" in proc.stdout
+def test_training_bit_identity_holds_under_a_second_blas_kernel(haswell_passes):
+    passed, output = haswell_passes
+    assert passed["test_training.py"] == 6, output
 
 
 @pytest.mark.parametrize("epochs", [3, 7])
