@@ -319,7 +319,8 @@ def cmd_compare(args) -> int:
     models = {p: load_checkpoint(p)[0] for p in dict.fromkeys(ckpts.values())}
     n = len(models[ckpts["ensemble"]].snapshots) if "ensemble" in methods else 2
     if n < 2:
-        raise DataError(f"compare: {ckpts['ensemble']} holds {n} snapshots, ensemble needs >= 2")
+        raise DataError(f"compare: {ckpts['ensemble']} holds {n} snapshots, ensemble needs >= 2 "
+                        "(evos train --snapshot-count)")
 
     val_set = _load_labelled(args.val_csv, "val")
     test_set = _load_labelled(args.test_csv, "test")
@@ -432,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--hidden", default="32,32",
                    help="comma list of hidden sizes (default %(default)s)")
     t.add_argument("--dropout-rate", type=float, default=0.0)
-    t.add_argument("--snapshot-count", type=int, default=5)
+    t.add_argument("--snapshot-count", type=int, default=0)
 
     c = command("calibrate", cmd_calibrate, "fit the uncertainty threshold on validation data")
     c.add_argument("--checkpoint", required=True)

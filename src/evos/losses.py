@@ -11,13 +11,14 @@ The three trainable objectives are
                   annealed KL regularizer toward the uniform Dirichlet,
     tun         : ``un`` plus a temperature-scaled belief cross-entropy.
 
-Each loss kind is a sum of terms (``_KINDS``), and each term is a value
-formula and its alpha-gradient, written side by side below.  With S = sum
-alpha, c the true class, alpha_hat = alpha with alpha_c reset to 1,
-T = sum alpha_hat and e = alpha - 1:
+Each alpha-space loss kind (``LOSS_KINDS``: unce, kl, un, tce, tun) is a
+sum of terms (``_KINDS``), and each term is a value formula and its
+alpha-gradient, written side by side below.  ``standard_ce`` is no kind:
+``logit_losses`` and ``logit_grad`` apply it to softmax(logits) directly.
+With S = sum alpha, c the true class, alpha_hat = alpha with alpha_c reset
+to 1, T = sum alpha_hat and e = alpha - 1:
 
     term  value                              d value / d alpha
-    ce    -ln(alpha_c / S)                   1/S - y/alpha
     unce  psi(S) - psi(alpha_c)              psi'(S) - y psi'(alpha)
     kl    KL(Dir(alpha_hat) || Dir(1,..,1))  (1-y) ((alpha_hat-1) psi'(alpha) - (T-K) psi'(T))
     tce   -ln(e_c / (S tau))                 -(S - e_c) / (e_c S) on c, 1/S off it
@@ -148,14 +149,6 @@ def _log_gamma_of(k: int) -> float:
     return log_gamma(float(k))
 
 
-def _ce(b: _Shared, grad: bool):
-    if not grad:
-        return _ce_value(b.a / b.s, b.y)
-    # L = ln S - sum_k y_k ln alpha_k ; flat (zero) where the clamp is active
-    clamped = _row_sum(b.y * b.a)[..., None] / b.s < PROB_FLOOR
-    return np.where(clamped, 0.0, 1.0 / b.s - b.y / b.a)
-
-
 def _unce(b: _Shared, grad: bool):
     if grad:
         return b.tri[_S] - b.y * b.tri[_A]
@@ -194,7 +187,6 @@ def _tce(b: _Shared, grad: bool):
 
 # kind -> the terms it sums, in this order
 _KINDS = {
-    "ce": (_ce,),
     "unce": (_unce,),
     "kl": (_kl,),
     "un": (_unce, _annealed_kl),

@@ -10,10 +10,13 @@ expected value is 1) and is only applied when the caller passes masks, so
 plain forward passes are deterministic.  Training and the Monte Carlo
 dropout baseline both draw their masks with ``make_dropout_masks``.
 
-Scoring (``infer``) runs in the blocks of ``row_blocks``, so that a block's
-layers and the caller's row-wise head stay in L2 cache and the intermediates
-are O(block), not one (n, 32) array per layer; each block's bits are those
-of ``forward`` on that block's rows.
+One layer loop, ``_layers``, runs the network for both callers.
+``forward`` (training) runs it on the whole batch and keeps each hidden
+layer's post-dropout activation, which is all ``backward`` reads.
+``infer`` (scoring) runs it in the blocks of ``row_blocks``, so that a
+block's layers and the caller's row-wise head stay in L2 cache and the
+intermediates are O(block), not one (n, 32) array per layer; a block's bits
+are those of ``forward`` on that block's rows by construction.
 """
 
 from __future__ import annotations
@@ -83,8 +86,7 @@ class ForwardTrace:
     """Cached intermediates from one forward pass, consumed by backward."""
 
     inputs: np.ndarray
-    pre_activations: list[np.ndarray] = field(default_factory=list)
-    activations: list[np.ndarray] = field(default_factory=list)  # post-dropout
+    activations: list[np.ndarray] = field(default_factory=list)  # post-dropout, per hidden layer
     masks: list[np.ndarray] | None = None  # scaled dropout masks, if any
 
 
@@ -123,6 +125,23 @@ def make_dropout_masks(cfg: MlpConfig, n: int, rng: np.random.Generator) -> list
     return masks
 
 
+def _layers(params: MlpParams, h: np.ndarray, masks=None, activations=None) -> np.ndarray:
+    """The network's outputs on rows ``h``: each layer is ``h @ w + b``, then
+    on hidden layers ReLU and the layer's mask, in place.  Each hidden
+    activation is appended to ``activations`` when a list is given."""
+    n_hidden = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = h @ w
+        h += b
+        if i < n_hidden:
+            np.maximum(h, 0.0, out=h)
+            if masks is not None:
+                h *= masks[i]
+            if activations is not None:
+                activations.append(h)
+    return h
+
+
 def forward(
     params: MlpParams,
     batch: np.ndarray,
@@ -131,20 +150,8 @@ def forward(
     """Run the network on a float64 (n, input_dim) batch; returns (outputs,
     trace).  Unchecked: ``train`` has matched the network to its data, and
     ``dropout_masks``, if given, are ``make_dropout_masks``'s for this batch."""
-    n_hidden = len(params.weights) - 1
     trace = ForwardTrace(inputs=batch, masks=dropout_masks)
-    h = batch
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w + b
-        trace.pre_activations.append(z)
-        if i < n_hidden:
-            h = np.maximum(z, 0.0)
-            if dropout_masks is not None:
-                h = h * dropout_masks[i]
-            trace.activations.append(h)
-        else:
-            h = z  # linear output layer
-    return h, trace
+    return _layers(params, batch, dropout_masks, trace.activations), trace
 
 
 def row_blocks(n: int) -> list[slice]:
@@ -172,27 +179,21 @@ def infer(
     head=None,
 ) -> np.ndarray:
     """``forward(params, batch, dropout_masks)[0]`` for scoring, in the blocks
-    of ``row_blocks``: each block's bits are those of ``forward`` on its rows.
-    ``dropout_masks``, if given, are one (rows, width) mask per hidden layer,
-    as ``make_dropout_masks`` draws them.  A row-wise ``head`` maps each
-    block's outputs while they are in cache; with no rows it sees one empty
-    block, so a head that rejects empty input raises."""
+    of ``row_blocks``: each block runs ``forward``'s layer loop on its rows,
+    so its bits are those of ``forward`` on them by construction.
+    ``dropout_masks``, if given, are one (rows, width) mask per hidden
+    layer, as ``make_dropout_masks`` draws them.  A row-wise ``head`` maps
+    each block's outputs while they are in cache; with no rows it sees one
+    empty block, so a head that rejects empty input raises."""
     x = np.asarray(batch, dtype=np.float64)
     width = params.weights[0].shape[0]
     if x.shape[1] != width:  # the one guard between a CSV and a checkpoint
         raise ValueError(f"infer: the rows have {x.shape[1]} features, "
                          f"but the network's input width is {width}")
-    n, n_hidden = len(x), len(params.weights) - 1
-    out = None
+    n, out = len(x), None
     for rows in row_blocks(n):
-        h = x[rows]
-        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-            h = h @ w
-            h += b
-            if i < n_hidden:
-                np.maximum(h, 0.0, out=h)
-                if dropout_masks is not None:
-                    h *= dropout_masks[i][rows]
+        masks = None if dropout_masks is None else [m[rows] for m in dropout_masks]
+        h = _layers(params, x[rows], masks)
         if head is not None:
             h = head(h)
         if out is None:
@@ -203,7 +204,10 @@ def infer(
 
 def backward(trace: ForwardTrace, params: MlpParams, grad_out: np.ndarray, out: MlpParams) -> MlpParams:
     """Backpropagate d(loss)/d(outputs), shaped like the outputs of the
-    forward pass that made ``trace``, to parameter gradients in ``out``."""
+    forward pass that made ``trace``, to parameter gradients in ``out``.
+    The ReLU gate reads the post-dropout activation: a dropped unit's delta
+    is already +-0, and a kept unit's activation is above 0 exactly where
+    its pre-activation is, as the mask's scale is positive."""
     delta = grad_out
     for i in range(len(params.weights) - 1, -1, -1):
         below = trace.inputs if i == 0 else trace.activations[i - 1]
@@ -213,7 +217,7 @@ def backward(trace: ForwardTrace, params: MlpParams, grad_out: np.ndarray, out: 
             delta = delta @ params.weights[i].T
             if trace.masks is not None:
                 delta *= trace.masks[i - 1]
-            delta *= trace.pre_activations[i - 1] > 0.0
+            delta *= below > 0.0
     return out
 
 

@@ -5,15 +5,16 @@ stateless.  The gamma-family functions are implemented here rather than
 imported so that their error behaviour is pinned down and testable against
 independent references:
 
-* ``log_gamma`` uses the Lanczos approximation (g=7, 9 coefficients) with
-  the reflection formula below 0.5.
+* ``log_gamma`` uses the Lanczos approximation (g=7, 9 coefficients) on
+  x >= 0.5, the domain its callers reach.
 * ``digamma`` and ``trigamma`` run the recurrences psi(x) = psi(x+1) - 1/x
   and psi'(x) = psi'(x+1) + 1/x^2, which lift every entry above 6 for the
   asymptotic (Bernoulli) series.
 
-These three are unchecked kernels: the argument must be finite and > 0,
-and nothing here checks it.  Their one caller is the training loss, which
-passes stacked arrays of alpha = softplus(logits) + 1 >= 1 and its sums:
+These three are unchecked kernels: the argument must be finite and > 0
+(>= 0.5 for ``log_gamma``), and nothing here checks it.  Their one caller
+is the training loss, which passes stacked arrays of
+alpha = softplus(logits) + 1 >= 1 and its sums:
 ``trigamma`` once per step for the gradient, ``digamma`` and ``log_gamma``
 once per epoch chunk for the logged loss value.
 
@@ -102,33 +103,20 @@ def sigmoid(x):
     return _unwrap(np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e)), scalar)
 
 
-def _lanczos_log_gamma(x: np.ndarray) -> np.ndarray:
-    # Valid for x >= 0.5.
-    z = x - 1.0
+def log_gamma(x):
+    """ln Gamma(x) for x >= 0.5, Lanczos approximation.
+
+    Relative error is at machine-precision level (well inside 1e-10) on
+    that domain.  Unchecked: x must be finite and >= 0.5; the loss passes
+    alpha_hat >= 1, its row sums and the class count K >= 2.
+    """
+    a, scalar = _asarray(x)
+    z = a - 1.0
     s = np.full_like(z, _LANCZOS_COEF[0])
     for i in range(1, len(_LANCZOS_COEF)):
         s += _LANCZOS_COEF[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (z + 0.5) * np.log(t) - t + np.log(s)
-
-
-def log_gamma(x):
-    """ln Gamma(x) for x > 0, Lanczos approximation.
-
-    Relative error is at machine-precision level (well inside 1e-10)
-    over the positive reals we care about.  Unchecked: x must be finite
-    and > 0.
-    """
-    a, scalar = _asarray(x)
-    small = a < 0.5
-    if not small.any():
-        return _unwrap(_lanczos_log_gamma(a), scalar)
-    # reflection: ln Gamma(x) = ln(pi / sin(pi x)) - ln Gamma(1 - x)
-    out = np.empty_like(a)
-    xs = a[small]
-    out[small] = np.log(np.pi / np.sin(np.pi * xs)) - _lanczos_log_gamma(1.0 - xs)
-    out[~small] = _lanczos_log_gamma(a[~small])
-    return _unwrap(out, scalar)
+    return _unwrap(_LN_SQRT_2PI + (z + 0.5) * np.log(t) - t + np.log(s), scalar)
 
 
 def digamma(x):

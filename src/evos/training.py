@@ -1,4 +1,4 @@
-"""Minibatch training with Adam, annealed evidential objectives, and
+"""Minibatch training with Adam, annealed evidential objectives, and opt-in
 snapshot collection for the ensemble baseline.
 
 Objectives:
@@ -40,7 +40,7 @@ class TrainConfig:
     anneal_epochs: int = 10
     objective: str = "tun"
     seed: int = 0
-    snapshot_count: int = 5
+    snapshot_count: int = 0
 
     def __post_init__(self):
         if self.epochs < 0:

@@ -112,7 +112,7 @@ def arms(bench, tmp_path_factory):
     net = MlpConfig(input_dim=2, output_dim=5, seed=42)
     results = {}
     for objective in ("un", "standard_ce"):
-        cfg = TrainConfig(epochs=400, objective=objective, seed=42)
+        cfg = TrainConfig(epochs=400, objective=objective, seed=42, snapshot_count=5)
         results[objective] = train(tr, va, cfg, net)
         metrics[objective] = arm_metrics(results[objective].model)
 
@@ -120,7 +120,8 @@ def arms(bench, tmp_path_factory):
     shutil.copy(bench.model_path, cmp_dir / "uios.json")
     std = results["standard_ce"]
     save_checkpoint(
-        cmp_dir / "standard.json", std.model, TrainConfig(epochs=400, objective="standard_ce", seed=42), fingerprint
+        cmp_dir / "standard.json", std.model,
+        TrainConfig(epochs=400, objective="standard_ce", seed=42, snapshot_count=5), fingerprint,
     )
     drop_cfg = TrainConfig(epochs=150, objective="standard_ce", seed=42)
     drop_net = MlpConfig(input_dim=2, output_dim=5, dropout_rate=0.25, seed=42)
@@ -492,6 +493,7 @@ def test_criterion_9_reruns_are_byte_identical(bench, arms, tmp_path):
             "--out", run_dir / "model.json",
             "--epochs", 60,
             "--seed", 0,
+            "--snapshot-count", 5,
         )
     # model.json holds the five snapshots too
     for name in ("model.json", "model.log.jsonl"):

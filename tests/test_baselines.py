@@ -49,7 +49,7 @@ def standard_result(bench_splits):
     return train(
         tr,
         va,
-        TrainConfig(epochs=80, objective="standard_ce", seed=42),
+        TrainConfig(epochs=80, objective="standard_ce", seed=42, snapshot_count=5),
         MlpConfig(input_dim=2, output_dim=5, seed=42),
     )
 

@@ -32,10 +32,10 @@ def trained():
     result = train(
         ds,
         None,
-        TrainConfig(epochs=3, objective="tun", seed=1),
+        TrainConfig(epochs=3, objective="tun", seed=1, snapshot_count=5),
         MlpConfig(input_dim=2, output_dim=3, seed=1),
     )
-    return result, TrainConfig(epochs=3, objective="tun", seed=1)
+    return result, TrainConfig(epochs=3, objective="tun", seed=1, snapshot_count=5)
 
 
 def make_calibration():

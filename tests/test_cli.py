@@ -60,6 +60,8 @@ def model_path(tmp_path_factory, data_dir):
         "30",
         "--seed",
         "0",
+        "--snapshot-count",
+        "5",
     )
     assert rc == 0
     return out
@@ -388,8 +390,8 @@ def eval_ensemble(ckpt, data_dir, *extra):
 
 def test_retrain_to_the_same_path_leaves_no_stale_snapshots(data_dir, tmp_path, capsys):
     out = tmp_path / "model.json"
-    assert train_to(out, data_dir, "--epochs", "40") == 0
-    assert train_to(out, data_dir, "--epochs", "2") == 0  # one snapshot, at epoch 1
+    assert train_to(out, data_dir, "--epochs", "40", "--snapshot-count", "5") == 0
+    assert train_to(out, data_dir, "--epochs", "2", "--snapshot-count", "5") == 0  # one, at epoch 1
     capsys.readouterr()
     assert eval_ensemble(out, data_dir) == 3
     assert "need >= 2 snapshots, got 1" in capsys.readouterr().err
@@ -397,7 +399,8 @@ def test_retrain_to_the_same_path_leaves_no_stale_snapshots(data_dir, tmp_path, 
 
 def test_ensemble_scores_a_checkpoint_under_a_glob_pattern_path(data_dir, tmp_path, capsys):
     out = tmp_path / "r[1]" / "standard.json"
-    assert train_to(out, data_dir, "--epochs", "10", "--objective", "standard_ce") == 0
+    assert train_to(out, data_dir, "--epochs", "10", "--objective", "standard_ce",
+                    "--snapshot-count", "5") == 0
     assert eval_ensemble(out, data_dir) == 0
     assert "unthresholded: acc" in capsys.readouterr().out
 
@@ -480,7 +483,7 @@ OPTION_TABLE = {
                      ood_kinds="far_cluster,ring", ood_n=500, unseen_sigma=0.0, seed=0),
     "train": dict(objective="tun", epochs=400, learning_rate=1e-4, weight_decay=1e-4,
                   batch_size=64, anneal_epochs=10, hidden="32,32", dropout_rate=0.0,
-                  snapshot_count=5, seed=0),
+                  snapshot_count=0, seed=0),
     "calibrate": dict(method="auto", coefficient=2.0, passes=10, jitter_sigma=0.1, seed=0),
     "eval": dict(method="auto", thresholded=False, passes=10, jitter_sigma=0.1, seed=0),
     "ood-eval": dict(bins=10, seed=0),
@@ -494,7 +497,7 @@ CONFIGURED = {
                      ood_n=7, unseen_sigma=1.5, seed=9),
     "train": dict(objective="un", epochs=3, learning_rate=0.01, weight_decay=0.0,
                   batch_size=16, anneal_epochs=2, hidden="8", dropout_rate=0.5,
-                  snapshot_count=0, seed=9),
+                  snapshot_count=3, seed=9),
     "calibrate": dict(method="tta", coefficient=1.5, passes=3, jitter_sigma=0.2, seed=9),
     "eval": dict(method="mc_drop", thresholded=True, passes=3, jitter_sigma=0.2, seed=9),
     "ood-eval": dict(bins=4, seed=9),
@@ -708,7 +711,7 @@ def cmp_dir(data_dir, tmp_path_factory):
     common = ["--train-csv", str(data_dir / "train.csv"), "--epochs", "25", "--seed", "0"]
     for name, extra in (
         ("uios", ["--objective", "tun"]),
-        ("standard", ["--objective", "standard_ce"]),
+        ("standard", ["--objective", "standard_ce", "--snapshot-count", "5"]),
         ("mcdrop", ["--objective", "standard_ce", "--dropout-rate", "0.25"]),
     ):
         assert run("train", *common, "--out", str(d / f"{name}.json"), *extra) == 0

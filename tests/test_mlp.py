@@ -2,10 +2,14 @@
 matrix-math oracle, hand backprop against finite differences, dropout
 semantics, and determinism."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from evos import mlp
 from evos.losses import LOSS_KINDS
 from evos.mlp import (
     BLOCK_ROWS,
@@ -173,11 +177,24 @@ def test_forward_shape_mismatch():
 
 def test_forward_trace_caches_batch_shapes():
     p = init_params(small_config(hidden_dims=(4, 4)))
-    x = np.zeros((5, 2))
-    _, trace = forward(p, x)
+    x = np.random.default_rng(3).normal(size=(5, 2))
+    out, trace = forward(p, x)
     assert isinstance(trace, ForwardTrace)
-    assert trace.inputs.shape == (5, 2)
-    assert [z.shape for z in trace.pre_activations] == [(5, 4), (5, 4), (5, 3)]
+    assert trace.inputs is x and trace.masks is None
+    assert [a.shape for a in trace.activations] == [(5, 4), (5, 4)]
+    h = x  # the activations are the hidden layers' ReLU outputs, bit for bit
+    for w, b, got in zip(p.weights, p.biases, trace.activations):
+        h = np.maximum(h @ w + b, 0.0)
+        assert got.tobytes() == h.tobytes()
+    assert out.tobytes() == (h @ p.weights[-1] + p.biases[-1]).tobytes()
+
+
+def test_mlp_has_one_layer_loop():
+    # forward and infer share one loop over the layers
+    tree = ast.parse(Path(mlp.__file__).read_text())
+    loops = [node for node in ast.walk(tree) if isinstance(node, ast.For)
+             and "zip(params.weights, params.biases)" in ast.unparse(node.iter)]
+    assert len(loops) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def test_train_config_reference_defaults():
     assert cfg.learning_rate == 1e-4
     assert cfg.weight_decay == 1e-4
     assert cfg.batch_size == 64
-    assert cfg.snapshot_count == 5
+    assert cfg.snapshot_count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +298,15 @@ def test_dropout_changes_training_but_stays_deterministic(separable):
 
 def _backward_allocating(trace, params, grad_out):
     """Backprop as plain NumPy that allocates every array: each layer's weight
-    and bias gradients, packed like ``MlpParams.flat``."""
+    and bias gradients, packed like ``MlpParams.flat``.  The ReLU gate reads
+    pre-activations recomputed here from the inputs, the params and the masks."""
     n_layers = len(params.weights)
+    pre, h = [], trace.inputs
+    for i in range(n_layers - 1):
+        pre.append(h @ params.weights[i] + params.biases[i])
+        h = np.maximum(pre[i], 0.0)
+        if trace.masks is not None:
+            h = h * trace.masks[i]
     grad_w, grad_b = [None] * n_layers, [None] * n_layers
     delta = grad_out
     for i in range(n_layers - 1, -1, -1):
@@ -310,7 +317,7 @@ def _backward_allocating(trace, params, grad_out):
             da = delta @ params.weights[i].T
             if trace.masks is not None:
                 da = da * trace.masks[i - 1]
-            delta = da * (trace.pre_activations[i - 1] > 0.0)
+            delta = da * (pre[i - 1] > 0.0)
     return np.concatenate([a.ravel() for a in (*grad_w, *grad_b)])
 
 
