@@ -46,8 +46,6 @@ def _normalized_entropy(probs: np.ndarray) -> np.ndarray:
 
 def uios_score(model: Model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evidential probabilities alpha/S and uncertainty mass K/S."""
-    if not model.is_evidential:
-        raise DataError("uios_score: model was not trained with an evidential objective")
     alpha = evidential_alpha(model, x)
     strength = _row_sum(alpha)[:, None]
     return alpha / strength, model.config.output_dim / strength[:, 0]

@@ -11,6 +11,11 @@ with coefficient 2 by default, i.e. catching errors is worth twice what
 falsely flagging a correct prediction costs.  Ties go to the largest theta
 (flag as few samples as necessary).  Samples with u >= theta are
 low-confidence and should be referred / rejected downstream.
+
+Theta is defined on every non-empty validation set.  With no wrong record
+TPR is 0 at every candidate, and theta is the sentinel above the largest u:
+it refers nothing.  With no correct record FPR is 0, and theta is the
+smallest u: it refers everything.  ``n_wrong`` tells the cases apart.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import CalibrationError
+from .errors import DataError
 from .records import Predictions
 
 
@@ -66,27 +71,20 @@ def roc_sweep(
 
     Candidates are the distinct observed uncertainties plus one sentinel
     just above the maximum (the "flag nothing" operating point).  Unchecked:
-    u and ``wrong`` are a ``Predictions``' u and its ``wrong_labels``.  With no
-    wrong or no correct record the rates are undefined -> CalibrationError.
+    u and ``wrong`` are a non-empty ``Predictions``' u and its
+    ``wrong_labels``.  A rate whose class has no record is 0 everywhere.
     """
     u = np.asarray(uncertainty, dtype=np.float64)
     w = np.asarray(wrong)
     n_wrong = int(np.sum(w == 1))
     n_right = int(np.sum(w == 0))
-    if n_wrong == 0 or n_right == 0:
-        raise CalibrationError(
-            f"roc_sweep: degenerate labels ({n_wrong} wrong, {n_right} correct); "
-            "both outcomes are required to trade off TPR against FPR. With no "
-            "validation errors, use a harder validation set (e.g. larger sigma) "
-            "or fewer epochs"
-        )
     candidates, inverse = np.unique(u, return_inverse=True)
     candidates = np.append(candidates, np.nextafter(candidates[-1], np.inf))
     # a row with u == candidates[j] is flagged at every candidate i <= j
     wrong_at = np.bincount(inverse[w == 1], minlength=len(candidates))
     right_at = np.bincount(inverse[w == 0], minlength=len(candidates))
-    tpr = np.cumsum(wrong_at[::-1])[::-1] / n_wrong
-    fpr = np.cumsum(right_at[::-1])[::-1] / n_right
+    tpr = np.cumsum(wrong_at[::-1])[::-1] / max(n_wrong, 1)
+    fpr = np.cumsum(right_at[::-1])[::-1] / max(n_right, 1)
     return candidates, tpr, fpr
 
 
@@ -99,8 +97,10 @@ def calibrate(
     ``method`` and ``options`` are the scoring that gave the records' u: a
     resolved method and the options that set its scale (see
     ``training.SCORING_OPTIONS``).  Theta records them, as it applies to
-    that scoring only.
+    that scoring only.  No records raise DataError.
     """
+    if len(preds) == 0:
+        raise DataError("calibrate: no validation records to fit theta on")
     wrong = wrong_labels(preds.predicted, preds.labels)
     candidates, tpr, fpr = roc_sweep(preds.uncertainty, wrong)
     objective = coefficient * tpr - fpr

@@ -10,16 +10,15 @@ string where an int belongs, an objective outside ``OBJECTIVES``, an
 encoded array without its data), so stale files fail loudly instead of
 half-loading.
 
-Version 2 adds the evidence gate of evidential models (``gate``: the
+A checkpoint (format 5, the only one read) holds the network and its
+training config, the evidence gate of evidential models (``gate``: the
 logit means, per-dimension scale and onset of ``head.EvidenceGate``, or
-null for the plain softplus head).  Version 3 drops the annealing schedule
-of the last training epoch, which nothing read after training.  Version 4
-holds the snapshot ensemble's members (``snapshots``: a list of
-``{weights, biases}`` objects in training order) in the checkpoint itself.
-Version 5 makes theta name the scoring it was fitted on (``calibration.scoring``:
-the method and the options that set its u) and its validation error count
-(``n_wrong``), and drops the sweep's candidates and objective, which
-nothing read.
+null for the plain softplus head), the snapshot ensemble's members
+(``snapshots``: a list of ``{weights, biases}`` objects in training order)
+and, once calibrated, theta (``calibration``): its operating point, the
+sweep's TPR and FPR, the validation error count (``n_wrong``) and the
+scoring it was fitted on (``scoring``: the method and the options that
+set its u).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: usage errors exit 2 (argparse),
-DataError and its subclasses exit 3, as does a ValueError raised for an
+DataError exits 3, as does a ValueError raised for an
 option value the library rejects; NumericError exits 4.
 """
 
@@ -12,11 +12,6 @@ class EvosError(Exception):
 
 class DataError(EvosError):
     """Malformed, missing, or degenerate input data."""
-
-
-class CalibrationError(DataError):
-    """Threshold calibration is impossible on the given records
-    (e.g. the validation set contains no errors, or no correct predictions)."""
 
 
 class NumericError(EvosError):

@@ -10,8 +10,8 @@ Conventions, for K classes and evidence e >= 0:
     u     = K / S                  (uncertainty mass)
     p_k   = alpha_k / S            (expected probability)
 
-so that sum_k b_k + u = 1 and p_k = b_k + u / K.  All functions are
-vectorized over leading axes; the class axis is always the last one.
+so that sum_k b_k + u = 1 and p_k = b_k + u / K.  The callers pass (n, K)
+arrays: one row per sample, the class axis last.
 """
 
 from __future__ import annotations
@@ -32,21 +32,20 @@ class SubjectiveOpinion:
     """
 
     beliefs: np.ndarray
-    uncertainty: np.ndarray  # scalar for a single sample, (n,) for a batch
+    uncertainty: np.ndarray  # (n,)
     probs: np.ndarray
     predicted_class: np.ndarray  # int, argmax of probs (ties -> lowest index)
 
 
 def opinion_from_alpha(alpha) -> SubjectiveOpinion:
-    """Project Dirichlet concentrations alpha >= 1 onto the opinion simplex."""
+    """Project (n, K) Dirichlet concentrations alpha >= 1 onto the opinion
+    simplex."""
     alpha = np.asarray(alpha, dtype=np.float64)
     k = alpha.shape[-1]
     strength = _row_sum(alpha)[..., None]
     beliefs = (alpha - 1.0) / strength
     probs = alpha / strength
     uncertainty = k / np.squeeze(strength, axis=-1)
-    if uncertainty.ndim == 0:
-        uncertainty = float(uncertainty)
     predicted = np.argmax(probs, axis=-1)
     return SubjectiveOpinion(
         beliefs=beliefs,

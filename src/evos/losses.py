@@ -146,7 +146,7 @@ def _adjust(a, y):
 
 @lru_cache
 def _log_gamma_of(k: int) -> float:
-    return log_gamma(float(k))
+    return float(log_gamma(np.float64(k)))
 
 
 def _unce(b: _Shared, grad: bool):

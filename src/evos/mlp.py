@@ -184,12 +184,12 @@ def infer(
     ``dropout_masks``, if given, are one (rows, width) mask per hidden
     layer, as ``make_dropout_masks`` draws them.  A row-wise ``head`` maps
     each block's outputs while they are in cache; with no rows it sees one
-    empty block, so a head that rejects empty input raises."""
+    empty block, and zero rows give zero rows out."""
     x = np.asarray(batch, dtype=np.float64)
     width = params.weights[0].shape[0]
-    if x.shape[1] != width:  # the one guard between a CSV and a checkpoint
-        raise ValueError(f"infer: the rows have {x.shape[1]} features, "
-                         f"but the network's input width is {width}")
+    if x.ndim != 2 or x.shape[1] != width:  # the one guard between a CSV and a checkpoint
+        raise ValueError(f"infer: the rows have {x.shape[-1]} features in shape {x.shape}, "
+                         f"but the network's input width is {width}, so it takes (n, {width})")
     n, out = len(x), None
     for rows in row_blocks(n):
         masks = None if dropout_masks is None else [m[rows] for m in dropout_masks]

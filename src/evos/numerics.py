@@ -1,9 +1,9 @@
 """Numerically stable special functions used throughout the package.
 
-Everything operates in float64, accepts scalars or numpy arrays, and is
-stateless.  The gamma-family functions are implemented here rather than
-imported so that their error behaviour is pinned down and testable against
-independent references:
+Everything operates on the float64 numpy arrays its callers pass (rows by
+classes, or stacked columns), and is stateless.  The gamma-family functions
+are implemented here rather than imported so that their error behaviour is
+pinned down and testable against independent references:
 
 * ``log_gamma`` uses the Lanczos approximation (g=7, 9 coefficients) on
   x >= 0.5, the domain its callers reach.
@@ -68,15 +68,6 @@ _PSI_SERIES = (1 / 12, 691 / 32760, 1 / 132, 1 / 240, 1 / 252, 1 / 120, 1 / 12)
 _TRI_SERIES = (7 / 6, 691 / 2730, 5 / 66, 1 / 30, 1 / 42, 1 / 30, 1 / 6)
 
 
-def _asarray(x) -> tuple[np.ndarray, bool]:
-    a = np.asarray(x, dtype=np.float64)
-    return a, a.ndim == 0
-
-
-def _unwrap(a: np.ndarray, scalar: bool):
-    return float(a) if scalar else a
-
-
 def softplus(x):
     """ln(1 + e^x) without overflow.
 
@@ -87,20 +78,18 @@ def softplus(x):
     low-branch value is >= +0 (or NaN), so adding +0.0 leaves its bits
     unchanged, and x + t equals t + x in IEEE arithmetic.
     """
-    a, scalar = _asarray(x)
-    high = a > 30.0
-    out = np.log1p(np.exp(np.where(high, -a, a)))
-    out += np.where(high, a, 0.0)
-    return _unwrap(out, scalar)
+    high = x > 30.0
+    out = np.log1p(np.exp(np.where(high, -x, x)))
+    out += np.where(high, x, 0.0)
+    return out
 
 
 def sigmoid(x):
     """Logistic function, the derivative of softplus. Overflow-safe: e^-|x|
     never overflows, and each branch divides by 1 + e^-|x| >= 1."""
-    a, scalar = _asarray(x)
-    pos = a >= 0.0
-    e = np.exp(np.where(pos, -a, a))
-    return _unwrap(np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e)), scalar)
+    pos = x >= 0.0
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def log_gamma(x):
@@ -110,13 +99,12 @@ def log_gamma(x):
     that domain.  Unchecked: x must be finite and >= 0.5; the loss passes
     alpha_hat >= 1, its row sums and the class count K >= 2.
     """
-    a, scalar = _asarray(x)
-    z = a - 1.0
+    z = x - 1.0
     s = np.full_like(z, _LANCZOS_COEF[0])
     for i in range(1, len(_LANCZOS_COEF)):
         s += _LANCZOS_COEF[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return _unwrap(_LN_SQRT_2PI + (z + 0.5) * np.log(t) - t + np.log(s), scalar)
+    return _LN_SQRT_2PI + (z + 0.5) * np.log(t) - t + np.log(s)
 
 
 def digamma(x):
@@ -137,7 +125,7 @@ def digamma(x):
     h = _PSI_SERIES[0]
     for c in _PSI_SERIES[1:]:
         h = c - i2 * h
-    return _unwrap(psi + np.log(a) - 0.5 / a - i2 * h, a.ndim == 0)
+    return psi + np.log(a) - 0.5 / a - i2 * h
 
 
 def trigamma(x):
@@ -157,7 +145,7 @@ def trigamma(x):
     h = _TRI_SERIES[0]
     for c in _TRI_SERIES[1:]:
         h = c - i2 * h
-    return _unwrap(tri + 1.0 / a + 0.5 * i2 + i2 / a * h, a.ndim == 0)
+    return tri + 1.0 / a + 0.5 * i2 + i2 / a * h
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
@@ -191,12 +179,7 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
 
 def softmax(logits):
     """Stable softmax over the last axis (max subtraction)."""
-    a, scalar = _asarray(logits)
-    if a.size == 0:
-        raise ValueError("softmax: empty input")
-    if scalar:
-        raise ValueError("softmax: needs at least a 1-d vector")
-    ex = np.exp(a - _row_max(a)[..., None])
+    ex = np.exp(logits - _row_max(logits)[..., None])
     return ex / _row_sum(ex)[..., None]
 
 
@@ -207,8 +190,6 @@ def entropy(p):
     nonnegative and summing to 1.  Its callers pass softmax rows, or means
     of them, of logits that ``softmax_head`` has checked are finite.
     """
-    a = np.asarray(p, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(a > 0.0, a * np.log(a), 0.0)
-    out = -_row_sum(terms)
-    return float(out) if out.ndim == 0 else out
+        terms = np.where(p > 0.0, p * np.log(p), 0.0)
+    return -_row_sum(terms)

@@ -236,13 +236,15 @@ def softmax_head(logits: np.ndarray) -> np.ndarray:
 
 def evidential_alpha(model: Model, features) -> np.ndarray:
     """Dirichlet concentrations alpha = g * softplus(logits) + 1 of an
-    evidential model, one row per input, with g from ``model.gate`` (no
-    factor when the model has no gate).
+    evidential model, one row per row of the (n, d) ``features``, with g
+    from ``model.gate`` (no factor when the model has no gate).
 
     The one evidential scoring path: ``baselines.uios_score`` (and through it
-    ``predict_records`` and ``accuracy``) and ``predict`` start from it.
-    Deterministic: no dropout.
+    ``predict_records`` and ``accuracy``) and ``predict`` start from it, so
+    its DataError for a standard model is theirs.  Deterministic: no dropout.
     """
+    if not model.is_evidential:
+        raise DataError("evidential_alpha: model was not trained with an evidential objective")
 
     def alpha_of(logits):
         _check_logits(logits)
@@ -252,16 +254,13 @@ def evidential_alpha(model: Model, features) -> np.ndarray:
         alpha += 1.0
         return alpha
 
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    return mlp.infer(model.params, x, head=alpha_of)
+    return mlp.infer(model.params, features, head=alpha_of)
 
 
 def predict(model: Model, features: np.ndarray) -> SubjectiveOpinion:
     """The subjective opinions of an evidential model, without dropout.  A
     standard model raises DataError; ``predict_records(model, ds, "entropy")``
     holds its probabilities."""
-    if not model.is_evidential:
-        raise DataError("predict: model was not trained with an evidential objective")
     return opinion_from_alpha(evidential_alpha(model, features))
 
 

@@ -2,6 +2,7 @@
 probability vector plus a scalar uncertainty in [0, 1]."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from evos.head import EvidenceGate
 from evos.mlp import BLOCK_ROWS, MlpConfig
 from evos.numerics import softplus
 from evos.training import Model, TrainConfig, evidential_alpha, predict_records, train
+
+STANDARD_MODEL_ERROR = "^evidential_alpha: model was not trained with an evidential objective$"
 
 LN2 = np.log(2.0)
 
@@ -137,7 +140,7 @@ def test_uios_zero_logits_gives_known_uncertainty():
 
 
 def test_uios_rejects_standard_model(standard_result):
-    with pytest.raises(DataError, match="evidential"):
+    with pytest.raises(DataError, match=STANDARD_MODEL_ERROR):
         uios_score(standard_result.model, np.zeros((1, 2)))
 
 
@@ -525,6 +528,28 @@ def test_multi_pass_scoring_memory_is_bounded(method, n, dim):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.fixture(scope="module")
+def method_models(standard_result, dropout_model, evidential_model):
+    return {"uios": evidential_model, "entropy": standard_result.model, "mc_drop": dropout_model,
+            "ensemble": standard_result.model, "tta": standard_result.model}
+
+
+def test_zero_rows_give_empty_scores(method_models, standard_result):
+    for method in METHODS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs, u = score_method(method, method_models[method], np.empty((0, 2)),
+                                    snapshots=standard_result.model.snapshots)
+        assert probs.shape == (0, 5) and u.shape == (0,), method
+
+
+def test_a_one_d_vector_is_refused_by_infer(method_models, standard_result):
+    for method in METHODS:
+        with pytest.raises(ValueError, match=r"^infer: the rows have 2 features in shape \(2,\)"):
+            score_method(method, method_models[method], np.zeros(2),
+                         snapshots=standard_result.model.snapshots)
 
 
 @pytest.mark.parametrize("method", ["entropy", "mc_drop", "ensemble", "tta"])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from evos.calibration import ThresholdCalibration, calibrate, roc_sweep, wrong_labels
-from evos.errors import CalibrationError, DataError
+from evos.errors import DataError
 from evos.records import Predictions, from_scores
 
 
@@ -70,11 +70,22 @@ def test_roc_sweep_inverted_scores():
     assert (tpr <= fpr + 1e-15).all()
 
 
-def test_roc_sweep_degenerate_raises():
-    with pytest.raises(CalibrationError):
-        roc_sweep(np.array([0.1, 0.2]), np.array([0, 0]))
-    with pytest.raises(CalibrationError):
-        roc_sweep(np.array([0.1, 0.2]), np.array([1, 1]))
+def _rate(flagged: np.ndarray) -> float:
+    """The share of ``flagged`` that is set; 0 for no rows, as in the sweep."""
+    return flagged.sum() / max(len(flagged), 1)
+
+
+def test_roc_sweep_one_outcome_matches_brute_force():
+    # with one outcome only, the other's rate is 0 at every candidate
+    u = np.array([0.3, 0.1, 0.3, 0.7, 0.2])
+    for outcome in (0, 1):
+        wrong = np.full(len(u), outcome)
+        candidates, tpr, fpr = roc_sweep(u, wrong)
+        assert np.array_equal(candidates, np.append(np.unique(u), np.nextafter(u.max(), np.inf)))
+        for theta, t, f in zip(candidates, tpr, fpr):
+            flag = u >= theta
+            assert t == _rate(flag[wrong == 1]) and f == _rate(flag[wrong == 0])
+        assert not (tpr if outcome == 0 else fpr).any()
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +115,7 @@ def _brute_force(u, wrong, coefficient=2.0):
     best_theta, best_obj = None, -np.inf
     for theta in candidates:
         flag = u >= theta
-        tpr = flag[wrong == 1].mean()
-        fpr = flag[wrong == 0].mean()
-        obj = coefficient * tpr - fpr
+        obj = coefficient * _rate(flag[wrong == 1]) - _rate(flag[wrong == 0])
         if obj > best_obj or (obj == best_obj and theta > best_theta):
             best_theta, best_obj = theta, obj
     return best_theta, best_obj
@@ -117,9 +126,7 @@ def test_select_threshold_matches_brute_force_sweep():
     for trial in range(1000):
         n = int(rng.integers(2, 51))
         u = np.round(rng.random(n), 2)  # coarse grid forces frequent ties
-        wrong = rng.integers(0, 2, size=n)
-        if wrong.min() == wrong.max():
-            continue
+        wrong = rng.integers(0, 2, size=n)  # one outcome only in about 1 in 2**(n-1)
         cal = calibrate(records_from(u, wrong))
         theta, obj = _brute_force(u, wrong)
         assert cal.threshold == pytest.approx(theta), f"trial {trial}"
@@ -133,8 +140,6 @@ def test_select_threshold_brute_force_any_coefficient(seed, coefficient):
     n = int(rng.integers(2, 30))
     u = rng.random(n)
     wrong = rng.integers(0, 2, size=n)
-    if wrong.min() == wrong.max():
-        return
     cal = calibrate(records_from(u, wrong), coefficient=coefficient)
     theta, obj = _brute_force(u, wrong, coefficient)
     assert cal.threshold == pytest.approx(theta)
@@ -218,15 +223,26 @@ def test_theta_records_the_scoring_it_was_fitted_on():
     assert cal.threshold == calibrate(recs, 1.5).threshold
 
 
-def test_calibrate_rejects_perfect_records():
-    recs = records_from(np.array([0.1, 0.2, 0.3]), np.zeros(3, dtype=int))
-    with pytest.raises(CalibrationError):
-        calibrate(recs)
+def test_calibrate_without_errors_refers_nothing():
+    u = np.array([0.2, 0.1, 0.3, 0.3])
+    cal = calibrate(records_from(u, np.zeros(4, dtype=int)))
+    assert cal.threshold == np.nextafter(u.max(), np.inf) == _brute_force(u, np.zeros(4))[0]
+    assert not (u >= cal.threshold).any()
+    assert cal.n_wrong == 0 and cal.tpr_at_threshold == cal.fpr_at_threshold == 0.0
 
 
-def test_calibration_error_is_a_data_error():
-    # so the CLI maps it to the data-error exit code
-    assert issubclass(CalibrationError, DataError)
+def test_calibrate_without_correct_records_refers_everything():
+    u = np.array([0.2, 0.1, 0.3, 0.3])
+    cal = calibrate(records_from(u, np.ones(4, dtype=int)))
+    assert cal.threshold == u.min() == _brute_force(u, np.ones(4))[0]
+    assert (u >= cal.threshold).all()
+    assert cal.n_wrong == 4 and cal.tpr_at_threshold == 1.0 and cal.fpr_at_threshold == 0.0
+
+
+def test_calibrate_rejects_zero_records():
+    # a DataError, so the CLI maps it to the data-error exit code
+    with pytest.raises(DataError, match="no validation records"):
+        calibrate(records_from(np.array([]), np.array([], dtype=int)))
 
 
 def test_recalibration_idempotent():

@@ -283,24 +283,24 @@ def test_rows_of_another_width_are_data_error(command, calibrated_path, wide_dir
     assert ckpt.read_bytes() == calibrated_path.read_bytes()
 
 
-def test_validation_without_errors_gives_the_same_advice(tmp_path, capsys):
+def test_validation_without_errors_gives_a_theta_that_refers_nothing(tmp_path, capsys):
     # well separated blobs and a fast learning rate: no validation errors
     assert run("gen-data", "--out-dir", str(tmp_path), "--k", "3", "--n-per-class", "60",
                "--sigma", "0.1", "--seed", "1") == 0
-    ckpt = tmp_path / "uios.json"
+    ckpt, val = tmp_path / "uios.json", tmp_path / "val.csv"
     assert run("train", "--train-csv", str(tmp_path / "train.csv"), "--out", str(ckpt),
                "--epochs", "20", "--learning-rate", "1e-2") == 0
-    trained = ckpt.read_bytes()
-    capsys.readouterr()
-    advice = "no validation errors, use a harder validation set (e.g. larger sigma) or fewer epochs"
-    assert run("calibrate", "--checkpoint", str(ckpt), "--val-csv", str(tmp_path / "val.csv")) == 3
-    err = capsys.readouterr().err
-    assert "(0 wrong," in err and advice in err
-    assert ckpt.read_bytes() == trained
+    assert run("calibrate", "--checkpoint", str(ckpt), "--val-csv", str(val)) == 0
+    assert f"0/{len(load_csv(val))} val errors" in capsys.readouterr().out
+    model, _, _, cal = load_checkpoint(ckpt)
+    u = predict_records(model, load_csv(val)).uncertainty
+    assert cal.n_wrong == 0 and cal.threshold == np.nextafter(u.max(), np.inf)
+    report = tmp_path / "eval.json"
+    assert run("eval", "--checkpoint", str(ckpt), "--test-csv", str(val),
+               "--thresholded", "--report", str(report)) == 0
+    assert json.loads(report.read_text())["sections"]["thresholded"]["n_referred"] == 0
     assert run("compare", "--checkpoint-dir", str(tmp_path), "--methods", "uios",
-               "--val-csv", str(tmp_path / "val.csv"),
-               "--test-csv", str(tmp_path / "test.csv")) == 3
-    assert capsys.readouterr().err == err
+               "--val-csv", str(val), "--test-csv", str(tmp_path / "test.csv")) == 0
 
 
 # ---------------------------------------------------------------------------

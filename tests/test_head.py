@@ -27,12 +27,12 @@ def identity_model(k: int) -> Model:
 
 
 def test_evidence_zero_features():
-    e = evidential_alpha(identity_model(3), np.zeros(3))[0] - 1.0
+    e = evidential_alpha(identity_model(3), np.zeros((1, 3)))[0] - 1.0
     assert_allclose(e, np.full(3, math.log(2.0)))
 
 
 def test_evidence_asymptotes():
-    e = evidential_alpha(identity_model(3), np.array([-100.0, 0.0, 100.0]))[0] - 1.0
+    e = evidential_alpha(identity_model(3), np.array([[-100.0, 0.0, 100.0]]))[0] - 1.0
     assert e[0] == pytest.approx(0.0, abs=1e-40)
     # softplus(-100) ~ 4e-44 is below the resolution of alpha = 1 + e
     assert e[0] == 0.0
@@ -42,9 +42,9 @@ def test_evidence_asymptotes():
 
 def test_evidence_matches_softplus_elementwise():
     rng = np.random.default_rng(11)
-    f = rng.normal(scale=5.0, size=17)
+    f = rng.normal(scale=5.0, size=(1, 17))
     e = evidential_alpha(identity_model(17), f)[0] - 1.0
-    assert_allclose(e, softplus(f), rtol=0, atol=1e-12)
+    assert_allclose(e, softplus(f)[0], rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

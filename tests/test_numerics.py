@@ -71,7 +71,7 @@ def _masked_softplus(x):
     high = a > 30.0
     out[high] = a[high] + np.log1p(np.exp(-a[high]))
     out[~high] = np.log1p(np.exp(a[~high]))
-    return float(out) if a.ndim == 0 else out
+    return out
 
 
 _SOFTPLUS_EDGES = st.sampled_from(
@@ -85,13 +85,13 @@ _SOFTPLUS_EDGES = st.sampled_from(
 def test_softplus_bits_equal_masked_branches(values):
     xs = np.array(values, dtype=np.float64)
     assert softplus(xs).tobytes() == _masked_softplus(xs).tobytes()
-    for x in values:
-        assert np.float64(softplus(x)).tobytes() == np.float64(_masked_softplus(x)).tobytes()
+    for x in xs:
+        assert softplus(np.array([x])).tobytes() == _masked_softplus(np.array([x])).tobytes()
 
 
 def test_softplus_vector_matches_scalar():
     xs = np.array([-5.0, -0.5, 0.0, 0.5, 40.0])
-    assert_allclose(softplus(xs), [softplus(float(x)) for x in xs], rtol=0, atol=0)
+    assert softplus(xs).tobytes() == b"".join(softplus(xs[i:i + 1]).tobytes() for i in range(5))
 
 
 def test_sigmoid_is_softplus_derivative():
@@ -109,7 +109,7 @@ def test_sigmoid_bit_identical_to_piecewise_form():
     want[pos] = 1.0 / (1.0 + np.exp(-xs[pos]))
     want[~pos] = np.exp(xs[~pos]) / (1.0 + np.exp(xs[~pos]))
     assert sigmoid(xs).tobytes() == want.tobytes()
-    assert [sigmoid(float(x)) for x in xs[:8]] == want[:8].tolist()
+    assert [sigmoid(xs[i:i + 1]).tobytes() for i in range(8)] == [w.tobytes() for w in want[:8]]
 
 
 # ---------------------------------------------------------------------------
@@ -239,24 +239,23 @@ def _reference_psi_trigamma(x):
     return psi, tri + 1.0 / a + 0.5 * i2 + i2 / a * tri_horner
 
 
-def _assert_array_scalar_and_reference_agree(xs):
+def _assert_array_elements_and_reference_agree(xs):
     psi, tri = digamma(xs), trigamma(xs)
-    assert psi.tolist() == [digamma(float(x)) for x in xs]
-    assert tri.tolist() == [trigamma(float(x)) for x in xs]
+    assert psi.tobytes() == b"".join(digamma(xs[i:i + 1]).tobytes() for i in range(len(xs)))
+    assert tri.tobytes() == b"".join(trigamma(xs[i:i + 1]).tobytes() for i in range(len(xs)))
     ref_psi, ref_tri = _reference_psi_trigamma(xs)
     assert np.array_equal(psi, ref_psi) and np.array_equal(tri, ref_tri)
 
 
 def test_psi_trigamma_kernel_edges():
     edges = [*range(1, 7), np.nextafter(6.0, 0.0), np.nextafter(6.0, np.inf), 1e150]
-    _assert_array_scalar_and_reference_agree(np.array(edges, dtype=np.float64))
-    assert {type(f(x)) for f in (digamma, trigamma, log_gamma) for x in (0.5, 6.0)} == {float}
+    _assert_array_elements_and_reference_agree(np.array(edges, dtype=np.float64))
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.lists(st.floats(min_value=1.0, max_value=1e6), min_size=1, max_size=40))
 def test_psi_trigamma_kernel_matches_public(values):
-    _assert_array_scalar_and_reference_agree(np.array(values))
+    _assert_array_elements_and_reference_agree(np.array(values))
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +359,6 @@ def test_softmax_extreme_logits_no_overflow():
 
 def test_softmax_hand_value():
     assert_allclose(softmax(np.array([math.log(2.0), 0.0])), [2 / 3, 1 / 3], atol=1e-15)
-
-
-def test_softmax_rejects_empty():
-    with pytest.raises(ValueError):
-        softmax(np.array([]))
 
 
 def test_softmax_batch_rows_sum_to_one():
