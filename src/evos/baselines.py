@@ -26,17 +26,28 @@ import numpy as np
 
 from . import mlp
 from .errors import DataError
-from .numerics import _row_sum, entropy
-from .training import SCORING_OPTIONS, Model, evidential_alpha, softmax_head
+from .numerics import _row_sum, entropy, softmax
+from .training import Model, evidential_alpha
 
+# each scoring method and the ``predict_records`` options that set the scale
+# of its u, which a calibrated theta records (the seed sets the draws only)
+SCORING_OPTIONS = {"uios": (), "entropy": (), "mc_drop": ("passes",), "ensemble": (),
+                   "tta": ("passes", "jitter_sigma")}
 METHODS = tuple(SCORING_OPTIONS)
 
 DEFAULT_PASSES = 10
 DEFAULT_JITTER_SIGMA = 0.1
 
 
+def resolve_method(model: Model, method: str) -> str:
+    """``method``, with auto read as uios for evidential models, else entropy."""
+    if method != "auto":
+        return method
+    return "uios" if model.is_evidential else "entropy"
+
+
 def _probs(params: mlp.MlpParams, x: np.ndarray, masks=None) -> np.ndarray:
-    return mlp.infer(params, x, masks, head=softmax_head)
+    return mlp.infer(params, x, masks, head=softmax)
 
 
 def _normalized_entropy(probs: np.ndarray) -> np.ndarray:

@@ -59,11 +59,6 @@ class ThresholdCalibration:
         })
 
 
-def wrong_labels(predicted: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """1 where the prediction disagrees with the label, else 0."""
-    return (np.asarray(predicted) != np.asarray(labels)).astype(np.int64)
-
-
 def roc_sweep(
     uncertainty: np.ndarray, wrong: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -71,18 +66,18 @@ def roc_sweep(
 
     Candidates are the distinct observed uncertainties plus one sentinel
     just above the maximum (the "flag nothing" operating point).  Unchecked:
-    u and ``wrong`` are a non-empty ``Predictions``' u and its
-    ``wrong_labels``.  A rate whose class has no record is 0 everywhere.
+    u and ``wrong`` are a non-empty ``Predictions``' u and its mask of wrong
+    predictions (bool or 0/1).  A rate whose class has no record is 0 everywhere.
     """
     u = np.asarray(uncertainty, dtype=np.float64)
-    w = np.asarray(wrong)
-    n_wrong = int(np.sum(w == 1))
-    n_right = int(np.sum(w == 0))
+    w = np.asarray(wrong, dtype=bool)
+    n_wrong = int(np.count_nonzero(w))
+    n_right = len(w) - n_wrong
     candidates, inverse = np.unique(u, return_inverse=True)
     candidates = np.append(candidates, np.nextafter(candidates[-1], np.inf))
     # a row with u == candidates[j] is flagged at every candidate i <= j
-    wrong_at = np.bincount(inverse[w == 1], minlength=len(candidates))
-    right_at = np.bincount(inverse[w == 0], minlength=len(candidates))
+    wrong_at = np.bincount(inverse[w], minlength=len(candidates))
+    right_at = np.bincount(inverse[~w], minlength=len(candidates))
     tpr = np.cumsum(wrong_at[::-1])[::-1] / max(n_wrong, 1)
     fpr = np.cumsum(right_at[::-1])[::-1] / max(n_right, 1)
     return candidates, tpr, fpr
@@ -91,17 +86,17 @@ def roc_sweep(
 def calibrate(
     preds: Predictions, coefficient: float = 2.0, method: str = "uios", **options
 ) -> ThresholdCalibration:
-    """Records -> wrong labels -> sweep -> the candidate maximizing
-    coefficient * TPR - FPR (ties -> largest).
+    """Records -> mask of wrong predictions -> sweep -> the candidate
+    maximizing coefficient * TPR - FPR (ties -> largest).
 
     ``method`` and ``options`` are the scoring that gave the records' u: a
     resolved method and the options that set its scale (see
-    ``training.SCORING_OPTIONS``).  Theta records them, as it applies to
+    ``baselines.SCORING_OPTIONS``).  Theta records them, as it applies to
     that scoring only.  No records raise DataError.
     """
     if len(preds) == 0:
         raise DataError("calibrate: no validation records to fit theta on")
-    wrong = wrong_labels(preds.predicted, preds.labels)
+    wrong = preds.predicted != preds.labels
     candidates, tpr, fpr = roc_sweep(preds.uncertainty, wrong)
     objective = coefficient * tpr - fpr
     # candidates are ascending, so the last argmax is the largest threshold

@@ -32,10 +32,11 @@ import os
 import numpy as np
 
 from . import mlp
+from .baselines import SCORING_OPTIONS
 from .calibration import ThresholdCalibration
 from .errors import DataError
 from .head import EvidenceGate
-from .training import OBJECTIVES, SCORING_OPTIONS, Model, TrainConfig
+from .training import OBJECTIVES, Model, TrainConfig
 
 FORMAT_VERSION = 5
 

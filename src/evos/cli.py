@@ -28,8 +28,7 @@ from .checkpoint import file_sha256, load_checkpoint, save_checkpoint, save_repo
 from .data import OOD_LABEL, gen_blobs, gen_ood, load_csv, save_csv, split_622
 from .errors import DataError, NumericError
 from .metrics import evaluate, ood_detection_rate
-from .training import (OBJECTIVES, SCORING_OPTIONS, TrainConfig, predict_records,
-                       resolve_method, train)
+from .training import OBJECTIVES, TrainConfig, predict_records, train
 
 DEFAULT_SEED = 0
 
@@ -100,7 +99,7 @@ def _load_labelled(path, name: str):
 def _scoring(args, method: str) -> dict:
     """A resolved ``method`` and the options of ``args`` that set its u: what
     a calibrated theta records, and ``predict_records``' keywords but the seed."""
-    return {"method": method, **{k: getattr(args, k) for k in SCORING_OPTIONS[method]}}
+    return {"method": method, **{k: getattr(args, k) for k in baselines.SCORING_OPTIONS[method]}}
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +185,7 @@ def cmd_train(args) -> int:
 def cmd_calibrate(args) -> int:
     model, tc, fingerprint, _ = load_checkpoint(args.checkpoint)
     val_set = _load_labelled(args.val_csv, "val")
-    scoring = _scoring(args, resolve_method(model, args.method))
+    scoring = _scoring(args, baselines.resolve_method(model, args.method))
     recs = predict_records(model, val_set, **scoring, seed=args.seed)
     cal = calibrate(recs, args.coefficient, **scoring)
     save_checkpoint(args.checkpoint, model, tc, fingerprint, calibration=cal)
@@ -211,7 +210,7 @@ def cmd_eval(args) -> int:
             "run `evos calibrate` first"
         )
     # theta applies to the scoring it was fitted on only, which auto then means
-    auto = cal.scoring["method"] if args.thresholded else resolve_method(model, "auto")
+    auto = cal.scoring["method"] if args.thresholded else baselines.resolve_method(model, "auto")
     scoring = _scoring(args, auto if args.method == "auto" else args.method)
     if args.thresholded and scoring != cal.scoring:
         k = next(k for k in scoring if scoring[k] != cal.scoring[k])  # method first

@@ -16,7 +16,8 @@ layer's post-dropout activation, which is all ``backward`` reads.
 ``infer`` (scoring) runs it in the blocks of ``row_blocks``, so that a
 block's layers and the caller's row-wise head stay in L2 cache and the
 intermediates are O(block), not one (n, 32) array per layer; a block's bits
-are those of ``forward`` on that block's rows by construction.
+are those of ``forward`` on that block's rows by construction.  ``infer`` is
+also where every scorer's non-finite output is refused, before any head.
 """
 
 from __future__ import annotations
@@ -184,7 +185,8 @@ def infer(
     ``dropout_masks``, if given, are one (rows, width) mask per hidden
     layer, as ``make_dropout_masks`` draws them.  A row-wise ``head`` maps
     each block's outputs while they are in cache; with no rows it sees one
-    empty block, and zero rows give zero rows out."""
+    empty block, and zero rows give zero rows out.  A non-finite output
+    raises NumericError, with or without a head."""
     x = np.asarray(batch, dtype=np.float64)
     width = params.weights[0].shape[0]
     if x.ndim != 2 or x.shape[1] != width:  # the one guard between a CSV and a checkpoint
@@ -194,6 +196,8 @@ def infer(
     for rows in row_blocks(n):
         masks = None if dropout_masks is None else [m[rows] for m in dropout_masks]
         h = _layers(params, x[rows], masks)
+        if not np.isfinite(h).all():  # a NaN softmax row would pass as a certain prediction
+            raise NumericError("non-finite logits")
         if head is not None:
             h = head(h)
         if out is None:

@@ -188,7 +188,7 @@ def entropy(p):
 
     Unchecked: ``p`` must be a (batch of) probability vector(s), finite,
     nonnegative and summing to 1.  Its callers pass softmax rows, or means
-    of them, of logits that ``softmax_head`` has checked are finite.
+    of them, of logits that ``mlp.infer`` has checked are finite.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, p * np.log(p), 0.0)

@@ -25,7 +25,7 @@ from . import losses, mlp
 from .data import Dataset, one_hot
 from .errors import DataError, NumericError
 from .head import EvidenceGate, SubjectiveOpinion, opinion_from_alpha
-from .numerics import softmax, softplus
+from .numerics import softplus
 from .records import Predictions, from_scores
 
 OBJECTIVES = ("standard_ce", "un", "tun")
@@ -218,22 +218,6 @@ def _epoch_loss(cfg: TrainConfig, schedule, logits, y) -> float:
     return float(np.mean(np.concatenate(means)))
 
 
-def _check_logits(logits: np.ndarray) -> None:
-    if not np.isfinite(logits).all():
-        raise NumericError("non-finite logits")
-
-
-def softmax_head(logits: np.ndarray) -> np.ndarray:
-    """Softmax of a block of a standard model's logits, for ``mlp.infer``.
-
-    Raises NumericError on a non-finite logit, as the evidential head does:
-    the softmax of an overflowed row is NaN, which would otherwise pass for
-    a certain prediction downstream.
-    """
-    _check_logits(logits)
-    return softmax(logits)
-
-
 def evidential_alpha(model: Model, features) -> np.ndarray:
     """Dirichlet concentrations alpha = g * softplus(logits) + 1 of an
     evidential model, one row per row of the (n, d) ``features``, with g
@@ -241,13 +225,13 @@ def evidential_alpha(model: Model, features) -> np.ndarray:
 
     The one evidential scoring path: ``baselines.uios_score`` (and through it
     ``predict_records`` and ``accuracy``) and ``predict`` start from it, so
-    its DataError for a standard model is theirs.  Deterministic: no dropout.
+    its DataError for a standard model is theirs, as is ``mlp.infer``'s
+    NumericError for a non-finite logit.  Deterministic: no dropout.
     """
     if not model.is_evidential:
         raise DataError("evidential_alpha: model was not trained with an evidential objective")
 
     def alpha_of(logits):
-        _check_logits(logits)
         alpha = softplus(logits)
         if model.gate is not None:
             alpha *= model.gate.factor(logits)[:, None]
@@ -264,29 +248,17 @@ def predict(model: Model, features: np.ndarray) -> SubjectiveOpinion:
     return opinion_from_alpha(evidential_alpha(model, features))
 
 
-# each scoring method and the ``predict_records`` options that set the scale
-# of its u, which a calibrated theta records (the seed sets the draws only)
-SCORING_OPTIONS = {"uios": (), "entropy": (), "mc_drop": ("passes",), "ensemble": (),
-                   "tta": ("passes", "jitter_sigma")}
-
-
-def resolve_method(model: Model, method: str) -> str:
-    """``method``, with auto read as uios for evidential models, else entropy."""
-    if method != "auto":
-        return method
-    return "uios" if model.is_evidential else "entropy"
-
-
 def predict_records(model: Model, ds: Dataset, method: str = "auto", **options) -> Predictions:
-    """Score a dataset's rows with a named method (see ``baselines.METHODS``,
-    or auto: ``resolve_method``) and package them for metrics/calibration.
+    """Score a dataset's rows with a named method (``baselines.METHODS``, or
+    auto: ``baselines.resolve_method``) and package them for metrics/calibration.
 
     The one place rows become records.  ``options`` are the keywords of
     ``baselines.score_method``: snapshots, passes, jitter_sigma and seed.
     """
     from . import baselines  # baselines imports this module
 
-    scores = baselines.score_method(resolve_method(model, method), model, ds.features, **options)
+    method = baselines.resolve_method(model, method)
+    scores = baselines.score_method(method, model, ds.features, **options)
     return from_scores(*scores, ds.labels)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from evos import baselines
-from evos.calibration import calibrate, wrong_labels
+from evos.calibration import calibrate
 from evos.checkpoint import file_sha256, load_checkpoint, save_checkpoint
 from evos.cli import main as cli_main
 from evos.data import load_csv
@@ -103,7 +103,7 @@ def arms(bench, tmp_path_factory):
 
     def arm_metrics(model):
         recs = predict_records(model, va)
-        auroc = binary_auc(recs.uncertainty, wrong_labels(recs.predicted, recs.labels))
+        auroc = binary_auc(recs.uncertainty, recs.predicted != recs.labels)
         return {"test_accuracy": accuracy(model, te), "val_auroc": auroc}
 
     tun_model, _, _, _ = load_checkpoint(bench.model_path)
@@ -310,7 +310,7 @@ def test_criterion_6b_error_detector_auroc(bench):
     model, _, _, _ = load_checkpoint(bench.model_path)
     va = load_csv(bench.data / "val.csv")
     recs = predict_records(model, va)
-    auroc = binary_auc(recs.uncertainty, wrong_labels(recs.predicted, recs.labels))
+    auroc = binary_auc(recs.uncertainty, recs.predicted != recs.labels)
     assert check(
         "6b", auroc >= 0.70, f"validation wrong-prediction AUROC {auroc:.4f} >= 0.70"
     ), auroc

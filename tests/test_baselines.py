@@ -552,13 +552,14 @@ def test_a_one_d_vector_is_refused_by_infer(method_models, standard_result):
                          snapshots=standard_result.model.snapshots)
 
 
-@pytest.mark.parametrize("method", ["entropy", "mc_drop", "ensemble", "tta"])
-def test_softmax_scorers_raise_on_non_finite_logits(method, standard_result, dropout_model):
-    # softmax of a NaN row is NaN, which entropy used to score as certain
-    model = dropout_model if method == "mc_drop" else standard_result.model
+@pytest.mark.parametrize("method", METHODS)
+def test_softmax_scorers_raise_on_non_finite_logits(method, method_models, standard_result):
+    # softmax of a NaN row is NaN, which entropy used to score as certain;
+    # mlp.infer refuses it before any head, the evidential one (and its gate) too
+    model = method_models[method]
     broken = model.params.copy()
     broken.weights[-1][0, 0] = np.nan
-    bad = Model(config=model.config, params=broken, objective=model.objective)
+    bad = Model(config=model.config, params=broken, objective=model.objective, gate=model.gate)
     snaps = [broken, *standard_result.model.snapshots[1:]]
     x = np.random.default_rng(2).normal(size=(50, 2))
     with pytest.raises(NumericError, match="non-finite logits"):

@@ -189,6 +189,24 @@ def test_rows_become_records_in_one_place():
     assert not {"evidential_scores", "_method_records"} & names
 
 
+def test_the_scoring_tables_live_in_baselines():
+    """``baselines`` holds the scoring table and the auto rule beside the
+    scorers, and takes from ``training`` only the model and its evidential
+    path, so a table moved back, or a second copy, fails here."""
+    imported = [a.name for node in ast.walk(ast.parse((SRC / "baselines.py").read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "training"
+                for a in node.names]
+    assert sorted(imported) == ["Model", "evidential_alpha"]
+    defined = {"SCORING_OPTIONS": [], "resolve_method": []}
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in [top, *getattr(top, "targets", [])]:  # a def, or an assignment's names
+                name = getattr(node, "name", None) or getattr(node, "id", None)
+                if name in defined:
+                    defined[name].append(path.stem)
+    assert defined == {"SCORING_OPTIONS": ["baselines"], "resolve_method": ["baselines"]}
+
+
 def test_a_calibrated_checkpoint_has_the_fields_the_workloads_read(tmp_path, capsys):
     # the reference and screen workloads compute the validation error-AUROC
     # from calibration.tpr and .fpr, read theta by key, and unpack

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from evos.calibration import ThresholdCalibration, calibrate, roc_sweep, wrong_labels
+from evos.calibration import ThresholdCalibration, calibrate, roc_sweep
 from evos.errors import DataError
 from evos.records import Predictions, from_scores
 
@@ -26,17 +26,18 @@ def records_from(u: np.ndarray, wrong: np.ndarray) -> Predictions:
 
 
 # ---------------------------------------------------------------------------
-# wrong_labels
-
-
-def test_wrong_labels_patterns():
-    assert wrong_labels(np.array([0, 1, 2]), np.array([0, 1, 2])).tolist() == [0, 0, 0]
-    assert wrong_labels(np.array([0, 1]), np.array([1, 0])).tolist() == [1, 1]
-    assert wrong_labels(np.array([2, 2]), np.array([2, 0])).tolist() == [0, 1]
-
-
-# ---------------------------------------------------------------------------
 # roc_sweep
+
+
+def test_roc_sweep_reads_a_bool_mask_as_its_0_1_form():
+    rng = np.random.default_rng(3)
+    u = rng.integers(0, 6, size=300) / 5.0  # heavy ties
+    wrong = rng.random(300) < 0.3
+    as_bool, as_int = roc_sweep(u, wrong), roc_sweep(u, wrong.astype(np.int64))
+    np.testing.assert_array_equal(np.stack(as_int), np.stack(as_bool), strict=True)
+    candidates, tpr, fpr = as_bool
+    assert tpr.tolist() == [np.mean(u[wrong] >= c) for c in candidates]
+    assert fpr.tolist() == [np.mean(u[~wrong] >= c) for c in candidates]
 
 
 def test_roc_sweep_separated_case():

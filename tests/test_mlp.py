@@ -167,6 +167,18 @@ def test_infer_head_sees_each_block_once():
     assert seen == [0]
 
 
+def test_infer_refuses_non_finite_logits_before_any_head():
+    # the gate fit calls infer with no head; a scorer's head never sees a NaN row
+    p = init_params(MlpConfig(input_dim=2, output_dim=5, seed=1))
+    p.weights[-1][0, 0] = np.nan
+    x = np.random.default_rng(2).normal(size=(8, 2))
+    seen = []
+    for head in (None, seen.append):
+        with pytest.raises(NumericError, match="^non-finite logits$"):
+            infer(p, x, head=head)
+    assert seen == []
+
+
 def test_forward_shape_mismatch():
     p = init_params(small_config())
     with pytest.raises(ValueError):
