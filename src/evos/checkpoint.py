@@ -6,9 +6,10 @@ are base64-encoded little-endian float64, which round-trips bit-exactly.
 The reader is strict: unknown or missing keys, at the top level or in a
 sub-object, a wrong version, or weights that do not fit the layer sizes are
 rejected, and so is a value whose JSON type does not fit its field (a
-string where an int belongs, an objective outside ``OBJECTIVES``, an
-encoded array without its data), so stale files fail loudly instead of
-half-loading.
+string where an int belongs, a format_version of 5.0, a dataset_fingerprint
+that is not a string, an objective outside ``OBJECTIVES``, an encoded array
+without its data), so stale files fail loudly instead of half-loading.
+A report holds the sha256 of each file its run read (``save_report``).
 
 A checkpoint (format 5, the only one read) holds the network and its
 training config, the evidence gate of evidential models (``gate``: the
@@ -216,7 +217,7 @@ def _decode_gate(obj, output_dim: int, path) -> EvidenceGate | None:
 
 def load_checkpoint(path) -> tuple[Model, TrainConfig, str, ThresholdCalibration | None]:
     obj = _exact(_load(path), _CHECKPOINT_KEYS, path, "checkpoint")
-    if obj["format_version"] != FORMAT_VERSION:
+    if not _is_num(obj["format_version"], int) or obj["format_version"] != FORMAT_VERSION:
         raise DataError(
             f"{path}: format_version {obj['format_version']!r}, this build reads "
             f"{FORMAT_VERSION}; re-run `evos train` and `evos calibrate` to write one"
@@ -225,6 +226,9 @@ def load_checkpoint(path) -> tuple[Model, TrainConfig, str, ThresholdCalibration
         raise DataError(f"{path}: kind {obj['kind']!r}, expected 'checkpoint'")
     if obj["objective"] not in OBJECTIVES:
         raise DataError(f"{path}: objective {obj['objective']!r}, expected one of {OBJECTIVES}")
+    if not isinstance(obj["dataset_fingerprint"], str):
+        raise DataError(f"{path}: dataset_fingerprint: expected str, "
+                        f"got {obj['dataset_fingerprint']!r}")
     cfg = mlp.MlpConfig(**_exact(obj["mlp"], mlp.MlpConfig, path, "mlp"))
     dims = cfg.layer_dims
     params = _decode_params(obj["params"], dims, path, "params")
@@ -249,16 +253,16 @@ def load_checkpoint(path) -> tuple[Model, TrainConfig, str, ThresholdCalibration
 
 
 def save_report(path, command: str, seed: int, inputs: dict, sections: dict) -> None:
-    """Deterministic run report.  ``inputs`` maps names to content hashes;
-    ``sections`` holds plain-JSON metric blocks.  Timing measurements are
-    deliberately kept out of reports (they cannot be reproducible); the CLI
-    writes them to a sidecar file instead."""
+    """Deterministic run report.  ``inputs`` maps names to the files read, each
+    stored as its sha256; ``sections`` holds plain-JSON metric blocks.  Timing
+    measurements are deliberately kept out of reports (they cannot be
+    reproducible); the CLI writes them to a sidecar file instead."""
     obj = {
         "format_version": FORMAT_VERSION,
         "kind": "report",
         "command": command,
         "seed": seed,
-        "inputs": inputs,
+        "inputs": {name: file_sha256(p) for name, p in inputs.items()},
         "sections": sections,
     }
     write_json(obj, path)

@@ -14,6 +14,7 @@ to stdout and a ``.timing.json`` sidecar, never into report files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -144,16 +145,8 @@ def cmd_train(args) -> int:
     if train_set.n_classes < 2:
         raise DataError(f"train: {args.train_csv} needs labelled rows of >= 2 classes")
     val_set = _load_labelled(args.val_csv, "val") if args.val_csv else None
-    cfg = TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        weight_decay=args.weight_decay,
-        batch_size=args.batch_size,
-        anneal_epochs=args.anneal_epochs,
-        objective=args.objective,
-        seed=args.seed,
-        snapshot_count=args.snapshot_count,
-    )
+    # every TrainConfig field is the train option of the same name
+    cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)})
     net = mlp.MlpConfig(
         input_dim=train_set.dim,
         output_dim=train_set.n_classes,
@@ -235,8 +228,7 @@ def cmd_eval(args) -> int:
         else:
             line += f" | thresholded @ {cal.threshold:.4f}: all referred"
     if args.report:
-        paths = {"checkpoint": args.checkpoint, "test_csv": args.test_csv}
-        inputs = {k: file_sha256(p) for k, p in paths.items()}
+        inputs = {"checkpoint": args.checkpoint, "test_csv": args.test_csv}
         save_report(args.report, "eval", args.seed, inputs, sections)
     print(line)
     return 0
@@ -263,7 +255,7 @@ def cmd_ood_eval(args) -> int:
         )
     # theta applies to the scoring it was fitted on, and only to that
     sections = {"method": cal.scoring["method"], "threshold": cal.threshold, "files": {}}
-    inputs = {"checkpoint": file_sha256(args.checkpoint)}
+    inputs = {"checkpoint": args.checkpoint}
     for path in args.ood_csv:
         ds = load_csv(path, name=path)
         recs = predict_records(model, ds, **cal.scoring, seed=args.seed)
@@ -275,7 +267,7 @@ def cmd_ood_eval(args) -> int:
             "mean_uncertainty": float(recs.uncertainty.mean()),
             "histogram_counts": counts.tolist(),
         }
-        inputs[path] = file_sha256(path)
+        inputs[path] = path
         print(f"{path}: detection rate {rate:.4f} at theta {cal.threshold:.4f} (n={len(recs)})")
         for line in _histogram_text(counts):
             print(line)
@@ -372,9 +364,8 @@ def cmd_compare(args) -> int:
             f"{r['threshold']:8.4f} {timing[m] * 1e3:10.4f}"
         )
     if args.report:
-        paths = {"val_csv": args.val_csv, "test_csv": args.test_csv}
-        paths.update((p, p) for p in args.ood_csv or [])
-        inputs = {k: file_sha256(p) for k, p in paths.items()}
+        inputs = {"val_csv": args.val_csv, "test_csv": args.test_csv}
+        inputs.update((p, p) for p in args.ood_csv or [])
         save_report(args.report, "compare", args.seed, inputs, {"methods": rows})
         timing_ms = {m: t * 1e3 for m, t in timing.items()}
         write_json({"ms_per_sample": timing_ms}, args.report + ".timing.json")

@@ -78,7 +78,6 @@ def gen_blobs(
     dim: int = 2,
     sigma: float = 0.9,
     radius: float = 4.0,
-    centers: np.ndarray | None = None,
     seed: int = 0,
     name: str = "blobs",
 ) -> Dataset:
@@ -89,11 +88,7 @@ def gen_blobs(
     """
     if n_per_class < 1 or sigma <= 0.0:
         raise DataError("gen_blobs: n_per_class >= 1 and sigma > 0 required")
-    if centers is None:
-        centers = circle_centers(n_classes, dim, radius)
-    centers = np.asarray(centers, dtype=np.float64)
-    if centers.shape != (n_classes, dim):
-        raise DataError("gen_blobs: centers must have shape (n_classes, dim)")
+    centers = circle_centers(n_classes, dim, radius)
     rng = np.random.default_rng(seed)
     feats = np.concatenate(
         [c + sigma * rng.standard_normal((n_per_class, dim)) for c in centers]

@@ -52,15 +52,13 @@ PROB_FLOOR = 1e-12  # clamp for logs of probabilities / beliefs
 
 @dataclass(frozen=True)
 class Schedule:
-    """Per-epoch annealing state for the KL weight and the temperature.
+    """The KL weight and the temperature the loss terms read at one epoch.
 
-    Both ramp linearly over ``anneal_epochs`` epochs:
+    ``for_epoch`` ramps both linearly over ``anneal_epochs`` epochs:
         kl_weight   = min(1, epoch / anneal_epochs)        in [0, 1]
         temperature = 0.01 + 0.99 * min(1, epoch / anneal_epochs)
     """
 
-    epoch: int
-    anneal_epochs: int = 10
     kl_weight: float = 0.0
     temperature: float = 0.01
 
@@ -69,12 +67,7 @@ class Schedule:
         if epoch < 0 or anneal_epochs < 1:
             raise ValueError("Schedule: epoch >= 0 and anneal_epochs >= 1 required")
         ramp = min(1.0, epoch / anneal_epochs)
-        return cls(
-            epoch=epoch,
-            anneal_epochs=anneal_epochs,
-            kl_weight=ramp,
-            temperature=0.01 + 0.99 * ramp,
-        )
+        return cls(kl_weight=ramp, temperature=0.01 + 0.99 * ramp)
 
 
 def per_sample_loss(kind: str, alpha, y, schedule: Schedule):
@@ -132,12 +125,8 @@ class _Shared(NamedTuple):
 _A, _S, _T = np.s_[..., :-2], np.s_[..., -2:-1], np.s_[..., -1:]
 
 
-def _ce_value(p, y):
-    return -_row_sum(y * np.log(np.maximum(p, PROB_FLOOR)))
-
-
-def _tce_value(b, y, temperature):
-    return -_row_sum(y * np.log(np.maximum(b, PROB_FLOOR) / temperature))
+def _ce_value(p, y, temperature=1.0):  # x / 1.0 is x: plain cross-entropy keeps its bits
+    return -_row_sum(y * np.log(np.maximum(p, PROB_FLOOR) / temperature))
 
 
 def _adjust(a, y):
@@ -177,7 +166,7 @@ def _annealed_kl(b: _Shared, grad: bool):
 def _tce(b: _Shared, grad: bool):
     evid, y, s = b.a - 1.0, b.y, b.s
     if not grad:
-        return _tce_value(evid / s, y, b.schedule.temperature)
+        return _ce_value(evid / s, y, b.schedule.temperature)
     evid_true = _row_sum(y * evid)[..., None]  # alpha_c - 1
     with np.errstate(divide="ignore", invalid="ignore"):
         on = -(s - evid_true) / (evid_true * s)

@@ -183,8 +183,10 @@ class MetricReport:
         return out
 
 
-def evaluate(preds: Predictions, threshold: float | None = None) -> MetricReport:
-    """Full report; with a threshold, low-confidence rows are referred first.
+def evaluate(preds: Predictions, threshold: float = np.inf) -> MetricReport:
+    """Full report on the rows kept at ``threshold``: rows with u >= threshold
+    are referred first.  As u <= 1, the default +inf refers none, which is
+    the unthresholded report.
 
     All rows must be in-distribution (labels >= 0); OOD detection is a
     separate protocol (``ood_detection_rate``).
@@ -192,13 +194,9 @@ def evaluate(preds: Predictions, threshold: float | None = None) -> MetricReport
     if np.any(preds.labels < 0):
         raise ValueError("evaluate: OOD rows in a classification report")
     n_total = len(preds)
-    if threshold is None:
-        kept = preds
-        n_referred = 0
-    else:
-        low = preds.uncertainty >= threshold
-        kept = preds.subset(~low)
-        n_referred = int(low.sum())
+    low = preds.uncertainty >= threshold
+    kept = preds.subset(~low)
+    n_referred = int(low.sum())
     n_eval = len(kept)
     if n_eval == 0:
         return MetricReport(

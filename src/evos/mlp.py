@@ -16,8 +16,8 @@ layer's post-dropout activation, which is all ``backward`` reads.
 ``infer`` (scoring) runs it in the blocks of ``row_blocks``, so that a
 block's layers and the caller's row-wise head stay in L2 cache and the
 intermediates are O(block), not one (n, 32) array per layer; a block's bits
-are those of ``forward`` on that block's rows by construction.  ``infer`` is
-also where every scorer's non-finite output is refused, before any head.
+are those of ``forward`` on that block's rows by construction.  ``_layers``
+refuses a non-finite output, for training and for every scorer before any head.
 """
 
 from __future__ import annotations
@@ -129,7 +129,8 @@ def make_dropout_masks(cfg: MlpConfig, n: int, rng: np.random.Generator) -> list
 def _layers(params: MlpParams, h: np.ndarray, masks=None, activations=None) -> np.ndarray:
     """The network's outputs on rows ``h``: each layer is ``h @ w + b``, then
     on hidden layers ReLU and the layer's mask, in place.  Each hidden
-    activation is appended to ``activations`` when a list is given."""
+    activation is appended to ``activations`` when a list is given.  A
+    non-finite output raises NumericError, in training and in scoring alike."""
     n_hidden = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = h @ w
@@ -140,6 +141,8 @@ def _layers(params: MlpParams, h: np.ndarray, masks=None, activations=None) -> n
                 h *= masks[i]
             if activations is not None:
                 activations.append(h)
+    if not np.isfinite(h).all():
+        raise NumericError("non-finite logits")
     return h
 
 
@@ -149,8 +152,9 @@ def forward(
     dropout_masks: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Run the network on a float64 (n, input_dim) batch; returns (outputs,
-    trace).  Unchecked: ``train`` has matched the network to its data, and
-    ``dropout_masks``, if given, are ``make_dropout_masks``'s for this batch."""
+    trace); a non-finite output raises NumericError.  Shapes are unchecked:
+    ``train`` has matched the network to its data, and ``dropout_masks``, if
+    given, are ``make_dropout_masks``'s for this batch."""
     trace = ForwardTrace(inputs=batch, masks=dropout_masks)
     return _layers(params, batch, dropout_masks, trace.activations), trace
 
@@ -186,7 +190,7 @@ def infer(
     layer, as ``make_dropout_masks`` draws them.  A row-wise ``head`` maps
     each block's outputs while they are in cache; with no rows it sees one
     empty block, and zero rows give zero rows out.  A non-finite output
-    raises NumericError, with or without a head."""
+    raises NumericError in ``_layers``, before any head sees its block."""
     x = np.asarray(batch, dtype=np.float64)
     width = params.weights[0].shape[0]
     if x.ndim != 2 or x.shape[1] != width:  # the one guard between a CSV and a checkpoint
@@ -196,8 +200,6 @@ def infer(
     for rows in row_blocks(n):
         masks = None if dropout_masks is None else [m[rows] for m in dropout_masks]
         h = _layers(params, x[rows], masks)
-        if not np.isfinite(h).all():  # a NaN softmax row would pass as a certain prediction
-            raise NumericError("non-finite logits")
         if head is not None:
             h = head(h)
         if out is None:
@@ -223,10 +225,4 @@ def backward(trace: ForwardTrace, params: MlpParams, grad_out: np.ndarray, out: 
                 delta *= trace.masks[i - 1]
             delta *= below > 0.0
     return out
-
-
-def check_finite(grads: MlpParams):
-    """Raise NumericError if any gradient entry is NaN/Inf."""
-    if not np.isfinite(grads.flat).all():
-        raise NumericError("non-finite gradient")
 

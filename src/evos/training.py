@@ -80,8 +80,10 @@ def adam_step(
     weight_decay: float = 0.0,
 ) -> tuple[mlp.MlpParams, AdamState]:
     """One Adam update, in place on ``params`` and ``state``.  Weight decay is
-    added to the gradient (L2 style).  Raises NumericError on NaN/Inf gradients."""
-    mlp.check_finite(grads)
+    added to the gradient (L2 style).  A NaN/Inf gradient entry raises
+    NumericError before anything is updated."""
+    if not np.isfinite(grads.flat).all():
+        raise NumericError("non-finite gradient")
     state.step += 1
     c1 = 1.0 - ADAM_BETA1**state.step
     c2 = 1.0 - ADAM_BETA2**state.step
@@ -170,12 +172,10 @@ def train(
             rows = slice(start, start + cfg.batch_size)
             xb, yb = xs[rows], ys[rows]
             masks = mlp.make_dropout_masks(net, len(xb), rng) if net.dropout_rate > 0 else None
-            logits, trace = mlp.forward(params, xb, dropout_masks=masks)
-            if not np.isfinite(logits).all():
-                raise NumericError(f"training diverged at epoch {epoch}: non-finite logits")
-            grad_out = losses.logit_grad(cfg.objective, logits, yb, schedule)
-            mlp.backward(trace, params, grad_out, out=grads)
             try:
+                logits, trace = mlp.forward(params, xb, dropout_masks=masks)
+                grad_out = losses.logit_grad(cfg.objective, logits, yb, schedule)
+                mlp.backward(trace, params, grad_out, out=grads)
                 adam_step(params, grads, state, cfg.learning_rate, cfg.weight_decay)
             except NumericError as e:
                 raise NumericError(f"training diverged at epoch {epoch}: {e}") from e

@@ -125,10 +125,9 @@ def test_workload_calls_resolve_with_their_keywords():
     assert not problems, problems
 
 
-def test_every_traced_name_has_a_caller():
-    """A name is live if ``src/`` refers to it outside its own definition, or
-    the workloads use it.  Name references are matched by the bare name, as
-    ``digamma`` or ``.factor``, so a same-named attribute elsewhere counts."""
+def src_references() -> tuple[dict, list[tuple[int, str]]]:
+    """Each ``src/evos`` module's syntax tree, and every name reference in
+    them as (node id, bare name): ``digamma`` or ``.factor``."""
     trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
     references = [
         (id(node), getattr(node, "id", None) or getattr(node, "attr", None))
@@ -136,6 +135,14 @@ def test_every_traced_name_has_a_caller():
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
     ]
+    return trees, references
+
+
+def test_every_traced_name_has_a_caller():
+    """A name is live if ``src/`` refers to it outside its own definition, or
+    the workloads use it.  Name references are matched by the bare name, as
+    ``digamma`` or ``.factor``, so a same-named attribute elsewhere counts."""
+    trees, references = src_references()
     used = set(workload_uses())
     dead = []
     for module, funcs in tracer_targets().items():
@@ -149,6 +156,26 @@ def test_every_traced_name_has_a_caller():
             ):
                 dead.append(f"{module}.{qualname}")
     assert not dead, dead
+
+
+def test_every_src_function_has_a_caller_outside_tests():
+    """Every function and method ``src/evos`` defines, dunders aside, is named
+    in ``src/`` outside its own body, used by the workloads, or public in
+    ``evos.__all__``, so a helper that only tests reach fails here.  Names
+    are matched bare, as in ``test_every_traced_name_has_a_caller``."""
+    trees, references = src_references()
+    used = {name.partition(".")[2] for name in workload_uses()} | set(evos.__all__)
+    unused = []
+    for module, tree in sorted(trees.items()):
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if fn.name.startswith("__") and fn.name.endswith("__") or fn.name in used:
+                continue
+            own = set(map(id, ast.walk(fn)))
+            if not any(name == fn.name and node not in own for node, name in references):
+                unused.append(f"{module}.{fn.name}")
+    assert not unused, unused
 
 
 def test_traced_training_reads_the_loss_kernels_it_runs():

@@ -239,6 +239,10 @@ def _set(obj, keys, value):
 # each value of the wrong JSON type or outside its domain -> what the error names
 _WRONG_VALUES = {
     "objective-bogus": (("objective",), "bogus", r"objective 'bogus'"),
+    "format_version-float": (("format_version",), float(FORMAT_VERSION), r"format_version 5\.0"),
+    "dataset_fingerprint-int": (("dataset_fingerprint",), 12345, r"dataset_fingerprint.*12345"),
+    "dataset_fingerprint-null": (("dataset_fingerprint",), None, r"dataset_fingerprint.*None"),
+    "dataset_fingerprint-list": (("dataset_fingerprint",), [1, 2], r"dataset_fingerprint.*\[1, 2\]"),
     "mlp-input_dim-string": (("mlp", "input_dim"), "2", r"mlp\.input_dim"),
     "mlp-input_dim-bool": (("mlp", "input_dim"), True, r"mlp\.input_dim"),
     "mlp-hidden_dims-string-entry": (("mlp", "hidden_dims"), ["32", 32], r"mlp\.hidden_dims"),
@@ -353,28 +357,34 @@ def test_reader_rejects_non_object(tmp_path):
 
 def test_report_round_trip(tmp_path):
     path = tmp_path / "report.json"
+    data = tmp_path / "test.csv"
+    data.write_bytes(b"abc")
     sections = {"metrics": {"accuracy": 0.95, "macro_f1": 0.93}}
-    save_report(path, "eval", seed=7, inputs={"test.csv": "deadbeef"}, sections=sections)
+    save_report(path, "eval", seed=7, inputs={"test_csv": data}, sections=sections)
     obj = json.loads(path.read_text())
     assert set(obj) == {"format_version", "kind", "command", "seed", "inputs", "sections"}
     assert obj["format_version"] == FORMAT_VERSION
     assert obj["kind"] == "report"
     assert obj["command"] == "eval"
     assert obj["seed"] == 7
-    assert obj["inputs"] == {"test.csv": "deadbeef"}
+    # sha256 of b"abc" (FIPS 180-2's first example)
+    sha_abc = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+    assert obj["inputs"] == {"test_csv": sha_abc}
     assert obj["sections"] == sections
 
 
 def test_report_bytes_are_canonical(tmp_path):
-    p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    save_report(p1, "eval", 0, {"a": "1"}, {"s": {"x": 1.5}})
-    save_report(p2, "eval", 0, {"a": "1"}, {"s": {"x": 1.5}})
+    p1, p2, data = tmp_path / "r1.json", tmp_path / "r2.json", tmp_path / "a.csv"
+    data.write_text("x,label\n")
+    save_report(p1, "eval", 0, {"a": data}, {"s": {"x": 1.5}})
+    save_report(p2, "eval", 0, {"a": data}, {"s": {"x": 1.5}})
     raw = p1.read_bytes()
     assert raw == p2.read_bytes()
     assert raw.endswith(b"\n")
     obj = json.loads(raw)
     expected = (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
     assert raw == expected
+    assert obj["inputs"] == {"a": file_sha256(data)}
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from evos.cli import main
 from evos.data import load_csv
 from evos.errors import DataError, NumericError
 from evos.metrics import evaluate, ood_detection_rate
-from evos.training import predict_records
+from evos.training import TrainConfig, predict_records
 from test_bindings import load_tracer
 
 
@@ -559,6 +559,17 @@ def test_config_file_rejects_every_other_key(command, monkeypatch, tmp_path, cap
         assert rc == 3, key
         err = capsys.readouterr().err
         assert err.startswith("error: config: unknown keys") and key in err
+
+
+def test_every_train_config_field_is_a_train_option_of_the_same_name(monkeypatch, tmp_path):
+    # cmd_train builds its TrainConfig from the options by field name
+    fields = [f.name for f in dataclasses.fields(TrainConfig)]
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in CONFIGURED["train"].items()))
+    _, seen = resolved(monkeypatch, "train", "--config", str(cfg))
+    assert set(fields) <= set(seen)
+    got = TrainConfig(**{k: seen[k] for k in fields})
+    assert dataclasses.asdict(got) == {k: CONFIGURED["train"][k] for k in fields}
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from evos.losses import (
     _adjust,
     _alpha_loss,
     _ce_value,
-    _tce_value,
     logit_grad,
     logit_losses,
     loss_grad_alpha,
@@ -182,13 +181,13 @@ def test_kl_random_sweep_nonnegative():
 # ---------------------------------------------------------------------------
 # the un and tun kinds / the tempered belief cross-entropy
 
-FULL_KL = Schedule(epoch=10, kl_weight=1.0)
+FULL_KL = Schedule(kl_weight=1.0)
 
 
 def test_un_loss_lambda_zero_is_evidential_ce():
     alpha = np.array([4.0, 2.0])
     y = one_hot(0, 2)
-    assert per_sample_loss("un", alpha, y, Schedule(epoch=0)) == pytest.approx(
+    assert per_sample_loss("un", alpha, y, Schedule()) == pytest.approx(
         per_sample_loss("unce", alpha, y, EPOCH0), abs=1e-14
     )
 
@@ -220,18 +219,18 @@ def test_un_loss_nonincreasing_in_true_class_evidence():
 
 def test_tempered_ce_values():
     y = one_hot(0, 2)
-    assert _tce_value(np.array([0.5, 0.2]), y, 1.0) == pytest.approx(
+    assert _ce_value(np.array([0.5, 0.2]), y, 1.0) == pytest.approx(
         math.log(2.0), abs=1e-12
     )
-    assert _tce_value(np.array([0.3, 0.1]), y, 0.3) == pytest.approx(0.0, abs=1e-12)
-    assert _tce_value(np.array([0.5, 0.2]), y, 0.01) == pytest.approx(
+    assert _ce_value(np.array([0.3, 0.1]), y, 0.3) == pytest.approx(0.0, abs=1e-12)
+    assert _ce_value(np.array([0.5, 0.2]), y, 0.01) == pytest.approx(
         -math.log(50.0), abs=1e-10
     )
 
 
 def test_tempered_ce_clamps_zero_belief():
     y = one_hot(0, 2)
-    val = _tce_value(np.array([0.0, 0.4]), y, 1.0)
+    val = _ce_value(np.array([0.0, 0.4]), y, 1.0)
     assert val == pytest.approx(-math.log(1e-12), rel=1e-12)
 
 
@@ -241,7 +240,7 @@ def test_tun_loss_composes_at_schedule_points():
     beliefs = opinion_from_alpha(alpha).beliefs
     for epoch in (0, 5, 10, 25):
         sch = Schedule.for_epoch(epoch)
-        expect = per_sample_loss("un", alpha, y, sch) + _tce_value(
+        expect = per_sample_loss("un", alpha, y, sch) + _ce_value(
             beliefs, y, sch.temperature
         )
         assert per_sample_loss("tun", alpha, y, sch) == pytest.approx(expect, abs=1e-12)

@@ -17,7 +17,6 @@ from evos.mlp import (
     MlpConfig,
     MlpParams,
     backward,
-    check_finite,
     forward,
     infer,
     init_params,
@@ -168,7 +167,8 @@ def test_infer_head_sees_each_block_once():
 
 
 def test_infer_refuses_non_finite_logits_before_any_head():
-    # the gate fit calls infer with no head; a scorer's head never sees a NaN row
+    # the gate fit calls infer with no head; a scorer's head never sees a NaN
+    # row; training's forward runs the same layer loop and its check
     p = init_params(MlpConfig(input_dim=2, output_dim=5, seed=1))
     p.weights[-1][0, 0] = np.nan
     x = np.random.default_rng(2).normal(size=(8, 2))
@@ -177,6 +177,8 @@ def test_infer_refuses_non_finite_logits_before_any_head():
         with pytest.raises(NumericError, match="^non-finite logits$"):
             infer(p, x, head=head)
     assert seen == []
+    with pytest.raises(NumericError, match="^non-finite logits$"):
+        forward(p, x)
 
 
 def test_forward_shape_mismatch():
@@ -240,17 +242,6 @@ def test_relu_blocks_gradients_when_dead():
     out, trace = forward(p, x)
     g = backward(trace, p, np.ones((4, 2)), out=p.copy())
     assert np.array_equal(g.weights[0], np.zeros_like(g.weights[0]))
-
-
-def test_check_finite_raises():
-    p = init_params(small_config())
-    p.weights[0][0, 0] = np.nan
-    with pytest.raises(NumericError):
-        check_finite(p)
-    p = init_params(small_config(hidden_dims=(4, 5)))
-    p.biases[-1][-1] = np.inf  # the last entry of the flat layout
-    with pytest.raises(NumericError):
-        check_finite(p)
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,19 @@ def test_adam_rejects_nan_grads():
         adam_step(p, g, state, learning_rate=0.1)
 
 
+def test_adam_step_refuses_a_non_finite_gradient_anywhere():
+    # a NaN in the first weight, or inf in the last bias entry: the first and
+    # the last entry of the flat layout; nothing is updated before the refusal
+    for hidden, index, bad in (((4,), 0, np.nan), ((4, 5), -1, np.inf)):
+        p = init_params(MlpConfig(input_dim=2, output_dim=3, hidden_dims=hidden, seed=0))
+        before, state, g = p.flat.copy(), AdamState.zeros_like(p), p.copy()
+        g.flat[index] = bad
+        with pytest.raises(NumericError, match="^non-finite gradient$"):
+            adam_step(p, g, state, learning_rate=0.1)
+        assert p.flat.tobytes() == before.tobytes() and state.step == 0
+        assert not state.m.any() and not state.v.any()
+
+
 def test_adam_trajectories_bit_identical():
     def trajectory():
         rng = np.random.default_rng(5)
@@ -428,7 +441,7 @@ def test_a_non_finite_gradient_names_its_epoch(monkeypatch):
 
     def nan_in_epoch_1(kind, logits, y, schedule):
         grad = real(kind, logits, y, schedule)
-        return np.full_like(grad, np.nan) if schedule.epoch == 1 else grad
+        return np.full_like(grad, np.nan) if schedule.kl_weight == 1 / 10 else grad
 
     monkeypatch.setattr(losses, "logit_grad", nan_in_epoch_1)
     ds = gen_blobs(n_per_class=40, n_classes=2, seed=0)
@@ -436,6 +449,24 @@ def test_a_non_finite_gradient_names_its_epoch(monkeypatch):
         train(ds, None, TrainConfig(epochs=3, seed=0))
     assert str(info.value) == "training diverged at epoch 1: non-finite gradient"
     assert str(info.value.__cause__) == "non-finite gradient"
+
+
+def test_non_finite_logits_name_their_epoch(monkeypatch):
+    # forward's layer loop refuses the NaN logits of a NaN first weight
+    real = mlp.init_params
+
+    def nan_weight(cfg):
+        params = real(cfg)
+        params.weights[0][0, 0] = np.nan
+        return params
+
+    monkeypatch.setattr(mlp, "init_params", nan_weight)
+    ds = gen_blobs(n_per_class=40, n_classes=2, seed=0)
+    for objective in training.OBJECTIVES:
+        with pytest.raises(NumericError) as info:
+            train(ds, None, TrainConfig(epochs=3, objective=objective, seed=0))
+        assert str(info.value) == "training diverged at epoch 0: non-finite logits"
+        assert str(info.value.__cause__) == "non-finite logits"
 
 
 def test_kernels_run_once_per_step_and_once_per_epoch_chunk(monkeypatch):
@@ -471,11 +502,11 @@ def test_epoch_loss_pass_memory_is_bounded():
     assert peak < 56 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-@pytest.mark.parametrize("objective, value_term", [("tun", "_tce_value"),
-                                                   ("standard_ce", "_ce_value")])
-def test_non_finite_epoch_loss_raises(objective, value_term, monkeypatch):
-    # the gradient path is untouched, so the NaN shows only in the epoch pass
-    monkeypatch.setattr(losses, value_term, lambda p, y, *args: np.full(len(p), np.nan))
+@pytest.mark.parametrize("objective", ["tun", "standard_ce"])
+def test_non_finite_epoch_loss_raises(objective, monkeypatch):
+    # the gradient path is untouched, so the NaN shows only in the epoch pass;
+    # both objectives' loss values run through the one cross-entropy
+    monkeypatch.setattr(losses, "_ce_value", lambda p, y, *args: np.full(len(p), np.nan))
     ds = gen_blobs(n_per_class=40, n_classes=2, seed=0)
     with pytest.raises(NumericError, match=r"training diverged at epoch 0: loss=nan"):
         train(ds, None, TrainConfig(epochs=3, objective=objective, seed=0))
