@@ -3,12 +3,12 @@
 Both are JSON with sorted keys and a format_version, written with a
 trailing newline so identical content is byte-identical on disk.  Arrays
 are base64-encoded little-endian float64, which round-trips bit-exactly.
-The reader is strict: unknown or missing keys, at the top level or in a
-sub-object, a wrong version, or weights that do not fit the layer sizes are
-rejected, and so is a value whose JSON type does not fit its field (a
-string where an int belongs, a format_version of 5.0, a dataset_fingerprint
-that is not a string, an objective outside ``OBJECTIVES``, an encoded array
-without its data), so stale files fail loudly instead of half-loading.
+The reader checks format_version first, so a file of any other version gets
+the re-run message whatever keys it holds.  Past it the reader is strict: it
+rejects unknown or missing keys, at the top level or in a sub-object, a value
+whose JSON type does not fit its key (one key -> type table per object, or a
+dataclass's field annotations), an objective outside ``OBJECTIVES``, and
+weights that do not fit the layer sizes, so stale files fail loudly.
 A report holds the sha256 of each file its run read (``save_report``).
 
 A checkpoint (format 5, the only one read) holds the network and its
@@ -41,8 +41,13 @@ from .training import OBJECTIVES, Model, TrainConfig
 
 FORMAT_VERSION = 5
 
-_CHECKPOINT_KEYS = {"format_version", "kind", "mlp", "params", "objective", "train_config",
-                    "dataset_fingerprint", "calibration", "gate", "snapshots"}
+_CHECKPOINT = {"format_version": "int", "kind": "str", "mlp": "dict", "params": "dict",
+               "objective": "str", "train_config": "dict", "dataset_fingerprint": "str",
+               "calibration": "dict | None", "gate": "dict | None", "snapshots": "list"}
+_PARAMS = {"weights": "list", "biases": "list"}
+_ARRAY = {"shape": "list[int >= 0]", "data": "str"}
+_GATE = {"means": "dict", "scale": "dict", "onset": "dict"}  # encoded arrays
+_SCORING = {"method": "str", "passes": "int", "jitter_sigma": "float"}
 
 
 def encode_array(a: np.ndarray) -> dict:
@@ -79,58 +84,61 @@ def write_json(obj: dict, path) -> None:
 def _load(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except FileNotFoundError:
         raise DataError(f"{path}: no such file") from None
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: not valid JSON ({e})") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    return obj
 
 
 def _is_num(v, types=(int, float)) -> bool:
     return isinstance(v, types) and not isinstance(v, bool)
 
 
-# the JSON value check of each field annotation of a dataclass a checkpoint holds
+# the check of each JSON type that a key -> type table above or a dataclass field names
 _JSON_CHECKS = {
     "int": lambda v: _is_num(v, int),
     "float": _is_num,
     "str": lambda v: isinstance(v, str),
     "tuple[int, ...]": lambda v: isinstance(v, list) and all(_is_num(d, int) for d in v),
+    "list[int >= 0]": lambda v: isinstance(v, list) and all(_is_num(d, int) and d >= 0 for d in v),
     "np.ndarray": lambda v: isinstance(v, list) and all(map(_is_num, v)),
+    "list": lambda v: isinstance(v, list),
     "dict": lambda v: isinstance(v, dict),
+    "dict | None": lambda v: v is None or isinstance(v, dict),
 }
 
 
-def _exact(obj, keys, path, what: str) -> dict:
-    """``obj`` if it is a JSON object with exactly ``keys``, or exactly the
-    fields of the dataclass ``keys`` with values of their JSON types;
-    DataError naming the key otherwise."""
-    fields = dataclasses.fields(keys) if dataclasses.is_dataclass(keys) else ()
-    keys = {f.name for f in fields} if fields else keys
+def _exact(obj, fields, path, what: str) -> dict:
+    """``obj`` if it is a JSON object with exactly the keys of ``fields``, a
+    key -> JSON type table or a dataclass (its field annotations), and each
+    value of its JSON type; DataError naming the key otherwise."""
+    if dataclasses.is_dataclass(fields):
+        fields = {f.name: f.type for f in dataclasses.fields(fields)}
     if not isinstance(obj, dict):
         raise DataError(f"{path}: {what}: expected a JSON object")
-    unknown = set(obj) - keys
-    missing = keys - set(obj)
+    unknown = set(obj) - set(fields)
+    missing = set(fields) - set(obj)
     if unknown or missing:
         raise DataError(
             f"{path}: bad {what} schema (unknown: {sorted(unknown)}, "
             f"missing: {sorted(missing)})"
         )
-    for f in fields:
-        if not _JSON_CHECKS[f.type](obj[f.name]):
-            raise DataError(f"{path}: {what}.{f.name}: expected {f.type}, got {obj[f.name]!r}")
+    for k, kind in fields.items():
+        if not _JSON_CHECKS[kind](obj[k]):
+            raise DataError(f"{path}: {what}.{k}: expected {kind}, got {obj[k]!r}")
     return obj
 
 
 def _array(obj, path, what: str) -> np.ndarray:
     """``decode_array(obj)``; DataError naming ``what`` if obj is malformed."""
-    shape = _exact(obj, {"shape", "data"}, path, what)["shape"]
-    sizes = _JSON_CHECKS["tuple[int, ...]"](shape) and all(d >= 0 for d in shape)
+    _exact(obj, _ARRAY, path, what)
     try:
-        if not (sizes and isinstance(obj["data"], str)):
-            raise ValueError("expected a list of sizes and a base64 string")
         return decode_array(obj)
-    except ValueError as e:  # also bad base64, or data that does not fit the shape
+    except ValueError as e:  # bad base64, or data that does not fit the shape
         raise DataError(f"{path}: {what}: {e}") from None
 
 
@@ -140,11 +148,8 @@ def _check_scoring(obj: dict, path) -> None:
     method, methods = obj.get("method"), tuple(SCORING_OPTIONS)  # a tuple: method may be a list
     if method not in methods:
         raise DataError(f"{path}: calibration.scoring.method {method!r}, not one of {methods}")
-    _exact(obj, {"method", *SCORING_OPTIONS[method]}, path, "calibration.scoring")
-    for k in SCORING_OPTIONS[method]:
-        kind = "int" if k == "passes" else "float"
-        if not _JSON_CHECKS[kind](obj[k]):
-            raise DataError(f"{path}: calibration.scoring.{k}: expected {kind}, got {obj[k]!r}")
+    keys = ("method", *SCORING_OPTIONS[method])
+    _exact(obj, {k: _SCORING[k] for k in keys}, path, "calibration.scoring")
 
 
 def save_checkpoint(
@@ -179,9 +184,7 @@ def _encode_params(params: mlp.MlpParams) -> dict:
 def _decode_params(obj, dims, path, what: str) -> mlp.MlpParams:
     """The ``{weights, biases}`` object ``what``, checked against the layer
     sizes ``dims``; DataError naming the key otherwise."""
-    _exact(obj, {"weights", "biases"}, path, what)
-    if not all(isinstance(v, list) for v in obj.values()):
-        raise DataError(f"{path}: {what}: expected lists of encoded arrays")
+    _exact(obj, _PARAMS, path, what)
     arrays = {k: [_array(a, path, f"{what}.{k}[{i}]") for i, a in enumerate(v)]
               for k, v in obj.items()}
     for k, want in (("weights", dims), ("biases", [(o,) for _, o in dims])):
@@ -206,9 +209,8 @@ def _encode_gate(gate: EvidenceGate | None) -> dict | None:
 def _decode_gate(obj, output_dim: int, path) -> EvidenceGate | None:
     if obj is None:
         return None
-    keys = ("means", "scale", "onset")  # encoded arrays, not EvidenceGate's JSON types
-    _exact(obj, set(keys), path, "gate")
-    means, scale, onset = (_array(obj[k], path, f"gate.{k}") for k in keys)
+    _exact(obj, _GATE, path, "gate")
+    means, scale, onset = (_array(obj[k], path, f"gate.{k}") for k in _GATE)
     k = output_dim
     if scale.shape != (k,) or means.ndim != 2 or means.shape[1] != k or onset.shape != ():
         raise DataError(f"{path}: gate shapes do not match the network's {output_dim} outputs")
@@ -216,24 +218,22 @@ def _decode_gate(obj, output_dim: int, path) -> EvidenceGate | None:
 
 
 def load_checkpoint(path) -> tuple[Model, TrainConfig, str, ThresholdCalibration | None]:
-    obj = _exact(_load(path), _CHECKPOINT_KEYS, path, "checkpoint")
-    if not _is_num(obj["format_version"], int) or obj["format_version"] != FORMAT_VERSION:
+    """(model, train config, fingerprint, theta or None); DataError naming what does not fit."""
+    obj = _load(path)
+    version = obj.get("format_version")  # first: other versions hold other keys
+    if not _is_num(version, int) or version != FORMAT_VERSION:
         raise DataError(
-            f"{path}: format_version {obj['format_version']!r}, this build reads "
+            f"{path}: format_version {version!r}, this build reads "
             f"{FORMAT_VERSION}; re-run `evos train` and `evos calibrate` to write one"
         )
+    _exact(obj, _CHECKPOINT, path, "checkpoint")
     if obj["kind"] != "checkpoint":
         raise DataError(f"{path}: kind {obj['kind']!r}, expected 'checkpoint'")
     if obj["objective"] not in OBJECTIVES:
         raise DataError(f"{path}: objective {obj['objective']!r}, expected one of {OBJECTIVES}")
-    if not isinstance(obj["dataset_fingerprint"], str):
-        raise DataError(f"{path}: dataset_fingerprint: expected str, "
-                        f"got {obj['dataset_fingerprint']!r}")
     cfg = mlp.MlpConfig(**_exact(obj["mlp"], mlp.MlpConfig, path, "mlp"))
     dims = cfg.layer_dims
     params = _decode_params(obj["params"], dims, path, "params")
-    if not isinstance(obj["snapshots"], list):
-        raise DataError(f"{path}: snapshots: expected a list of {{weights, biases}} objects")
     snaps = [_decode_params(s, dims, path, f"snapshots[{i}]")
              for i, s in enumerate(obj["snapshots"])]
     calib = obj["calibration"]

@@ -127,20 +127,19 @@ def gen_ood(
     n: int = 500,
     centers: np.ndarray | None = None,
     sigma: float = 0.9,
-    dim: int = 2,
     seed: int = 0,
 ) -> Dataset:
     """Out-of-distribution samples for a blob layout (see module docstring).
 
     ``centers``/``sigma`` describe the ID data the OOD set is built against;
-    they default to the standard benchmark layout.
+    they default to the standard benchmark layout, ``circle_centers(5)``.
     """
     if kind not in OOD_KINDS:
         raise DataError(f"gen_ood: unknown kind {kind!r}, expected one of {OOD_KINDS}")
     if n < 1:
         raise DataError("gen_ood: n >= 1 required")
     if centers is None:
-        centers = circle_centers(5, dim, 4.0)
+        centers = circle_centers(5)
     centers = np.asarray(centers, dtype=np.float64)
     dim = centers.shape[1]
     rng = np.random.default_rng(seed)

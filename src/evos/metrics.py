@@ -66,6 +66,7 @@ class PerClassMetrics:
 
 
 def per_class_metrics(cm: np.ndarray) -> PerClassMetrics:
+    """One-vs-rest scores of a non-empty confusion matrix, with macro averages."""
     cm = np.asarray(cm, dtype=np.int64)
     total = cm.sum()
     tp = np.diag(cm).astype(np.float64)
@@ -77,15 +78,13 @@ def per_class_metrics(cm: np.ndarray) -> PerClassMetrics:
     specificity = _safe_div(tn, tn + fp)
     f1 = _safe_div(2.0 * precision * sensitivity, precision + sensitivity)
     included = (tp + fp + fn) > 0
-    if not np.any(included):
-        macro = (0.0, 0.0, 0.0, 0.0)
-    else:
-        macro = (
-            float(precision[included].mean()),
-            float(sensitivity[included].mean()),
-            float(specificity[included].mean()),
-            float(f1[included].mean()),
-        )
+    # never empty: evaluate passes at least one kept row, whose true class is included
+    macro = (
+        float(precision[included].mean()),
+        float(sensitivity[included].mean()),
+        float(specificity[included].mean()),
+        float(f1[included].mean()),
+    )
     return PerClassMetrics(
         precision=precision,
         sensitivity=sensitivity,
@@ -115,11 +114,11 @@ def binary_auc(scores: np.ndarray, positives: np.ndarray) -> float:
     return float(twice_u / 2 / (n_pos * n_neg))
 
 
-def ovr_auc(labels: np.ndarray, probs: np.ndarray) -> tuple[float, np.ndarray]:
+def ovr_auc(labels: np.ndarray, probs: np.ndarray) -> tuple[float | None, np.ndarray]:
     """Macro one-vs-rest AUC over classes with both positives and negatives.
 
     Returns (macro, per_class) with NaN for skipped classes (a warning
-    names them).
+    names them); macro is None when every class is skipped.
     """
     labels = np.asarray(labels, dtype=np.int64)
     probs = np.asarray(probs, dtype=np.float64)
@@ -132,9 +131,7 @@ def ovr_auc(labels: np.ndarray, probs: np.ndarray) -> tuple[float, np.ndarray]:
             continue
         per_class[cls] = binary_auc(probs[:, cls], pos)
     usable = ~np.isnan(per_class)
-    if not usable.any():
-        raise ValueError("ovr_auc: no class has both positives and negatives")
-    return float(per_class[usable].mean()), per_class
+    return (float(per_class[usable].mean()) if usable.any() else None), per_class
 
 
 def ood_detection_rate(uncertainty: np.ndarray, threshold: float) -> float:
@@ -149,20 +146,29 @@ def ood_detection_rate(uncertainty: np.ndarray, threshold: float) -> float:
 class MetricReport:
     """Metrics over the evaluated subset of a prediction batch.
 
-    When every sample is referred (n_evaluated == 0) the metric fields are
-    None and ``available`` is False; the referral bookkeeping still holds.
+    Stores the two counts; the referral figures are derived.  When every
+    sample is referred (n_evaluated == 0) the metric fields are None.
     """
 
     n_total: int
     n_evaluated: int
-    n_referred: int
-    referral_rate: float
-    available: bool
     confusion: np.ndarray | None = None
     per_class: PerClassMetrics | None = None
     macro_auc: float | None = None
     auc_per_class: np.ndarray | None = None
     accuracy: float | None = None
+
+    @property
+    def n_referred(self) -> int:
+        return self.n_total - self.n_evaluated
+
+    @property
+    def referral_rate(self) -> float:
+        return self.n_referred / self.n_total if self.n_total else 0.0
+
+    @property
+    def available(self) -> bool:
+        return self.n_evaluated > 0
 
     def to_dict(self) -> dict:
         out = {
@@ -184,8 +190,8 @@ class MetricReport:
 
 
 def evaluate(preds: Predictions, threshold: float = np.inf) -> MetricReport:
-    """Full report on the rows kept at ``threshold``: rows with u >= threshold
-    are referred first.  As u <= 1, the default +inf refers none, which is
+    """Full report on the rows kept at ``threshold`` (u < threshold); the
+    rest are referred.  As u <= 1, the default +inf refers none, which is
     the unthresholded report.
 
     All rows must be in-distribution (labels >= 0); OOD detection is a
@@ -193,33 +199,16 @@ def evaluate(preds: Predictions, threshold: float = np.inf) -> MetricReport:
     """
     if np.any(preds.labels < 0):
         raise ValueError("evaluate: OOD rows in a classification report")
-    n_total = len(preds)
-    low = preds.uncertainty >= threshold
-    kept = preds.subset(~low)
-    n_referred = int(low.sum())
-    n_eval = len(kept)
-    if n_eval == 0:
-        return MetricReport(
-            n_total=n_total,
-            n_evaluated=0,
-            n_referred=n_referred,
-            referral_rate=n_referred / n_total if n_total else 0.0,
-            available=False,
-        )
+    kept = preds.subset(preds.uncertainty < threshold)
+    if len(kept) == 0:
+        return MetricReport(n_total=len(preds), n_evaluated=0)
     cm = confusion_matrix(kept.predicted, kept.labels, kept.n_classes)
-    per_class = per_class_metrics(cm)
-    try:
-        macro_auc, auc_per_class = ovr_auc(kept.labels, kept.probs)
-    except ValueError:
-        macro_auc, auc_per_class = None, np.full(kept.n_classes, np.nan)
+    macro_auc, auc_per_class = ovr_auc(kept.labels, kept.probs)
     return MetricReport(
-        n_total=n_total,
-        n_evaluated=n_eval,
-        n_referred=n_referred,
-        referral_rate=n_referred / n_total,
-        available=True,
+        n_total=len(preds),
+        n_evaluated=len(kept),
         confusion=cm,
-        per_class=per_class,
+        per_class=per_class_metrics(cm),
         macro_auc=macro_auc,
         auc_per_class=auc_per_class,
         accuracy=float(np.mean(kept.predicted == kept.labels)),

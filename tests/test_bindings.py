@@ -178,6 +178,26 @@ def test_every_src_function_has_a_caller_outside_tests():
     assert not unused, unused
 
 
+def test_every_src_import_is_used():
+    """Every name a ``src/evos`` module imports (``__future__`` aside) is
+    read in that module or listed in its ``__all__``, so an import that a
+    simplification leaves behind fails here."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets) == "__all__":
+                read |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                bound = [a.asname or a.name.partition(".")[0] for a in node.names]
+                unused += [f"{path.stem}: {name}" for name in bound if name not in read]
+    assert not unused, unused
+
+
 def test_traced_training_reads_the_loss_kernels_it_runs():
     tracer = load_tracer()
     ds = gen_blobs(n_per_class=690, n_classes=3, seed=5)  # 2,070 rows: 42 steps of 50

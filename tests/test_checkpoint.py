@@ -175,6 +175,28 @@ def test_reader_rejects_wrong_version(tmp_path, trained):
         load_checkpoint(path)
 
 
+# each older file -> its edit of a format-5 file: the version is read before the keys
+_OLD_VERSIONS = {
+    "1": (1, "gate"),  # before the evidence gate
+    "3": (3, "snapshots"),  # before the snapshot ensemble
+    "4": (4, None),
+    "5.0": (5.0, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OLD_VERSIONS))
+def test_reader_asks_for_a_rerun_on_any_other_version(case, tmp_path, trained, capsys):
+    path = _saved_checkpoint(tmp_path, trained)
+    version, dropped = _OLD_VERSIONS[case]
+    obj = json.loads(path.read_text())
+    obj["format_version"] = version
+    obj.pop(dropped, None)
+    path.write_text(json.dumps(obj))
+    assert main(["eval", "--checkpoint", str(path), "--test-csv", str(tmp_path / "t.csv")]) == 3
+    err = capsys.readouterr().err
+    assert f"format_version {case}, this build reads {FORMAT_VERSION}; re-run" in err
+
+
 def test_reader_rejects_malformed_gate(tmp_path, trained):
     path = _saved_checkpoint(tmp_path, trained)
     obj = json.loads(path.read_text())
@@ -274,7 +296,7 @@ _WRONG_VALUES = {
     "array-data-of-wrong-length": (
         ("params", "biases", 1, "data"), "AAAAAAAAAAA=", r"params\.biases\[1\]"
     ),
-    "weights-not-a-list": (("params", "weights"), "AAAA", r"params: expected lists"),
+    "weights-not-a-list": (("params", "weights"), "AAAA", r"params\.weights: expected list"),
     "gate-onset-not-an-array": (("gate", "onset"), 0.5, r"gate\.onset"),
 }
 
@@ -294,7 +316,7 @@ def test_reader_rejects_values_that_do_not_fit_their_field(case, tmp_path, train
 
 # each edit of the snapshots -> the key the error names
 _BAD_SNAPSHOTS = {
-    "not-a-list": (lambda obj: obj.update(snapshots={}), r"snapshots: expected a list"),
+    "not-a-list": (lambda obj: obj.update(snapshots={}), r"checkpoint\.snapshots: expected list"),
     "weight-of-wrong-shape": (
         lambda obj: _set(obj, ("snapshots", 1, "weights", 1), encode_array(np.zeros((32, 3)))),
         r"snapshots\[1\]\.weights\[1\] does not fit the layer sizes",

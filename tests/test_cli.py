@@ -5,6 +5,7 @@ import dataclasses
 import json
 import shutil
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ import pytest
 from evos import baselines, cli
 from evos.checkpoint import file_sha256, load_checkpoint, save_checkpoint
 from evos.cli import main
-from evos.data import load_csv
+from evos.data import OOD_KINDS, Dataset, load_csv, save_csv
 from evos.errors import DataError, NumericError
 from evos.metrics import evaluate, ood_detection_rate
+from evos.mlp import BLOCK_ROWS
 from evos.training import TrainConfig, predict_records
 from test_bindings import load_tracer
 
@@ -301,6 +303,97 @@ def test_validation_without_errors_gives_a_theta_that_refers_nothing(tmp_path, c
     assert json.loads(report.read_text())["sections"]["thresholded"]["n_referred"] == 0
     assert run("compare", "--checkpoint-dir", str(tmp_path), "--methods", "uios",
                "--val-csv", str(val), "--test-csv", str(tmp_path / "test.csv")) == 0
+
+
+# ---------------------------------------------------------------------------
+# degenerate input, end to end
+
+
+@pytest.fixture(scope="module")
+def k2_dir(tmp_path_factory):
+    """A calibrated model of K = 2, the fewest classes ``train`` takes, and
+    the generated test and OOD CSVs it is read with."""
+    d = tmp_path_factory.mktemp("k2")
+    assert run("gen-data", "--out-dir", str(d), "--k", "2", "--n-per-class", "40",
+               "--ood-n", "30", "--ood-kinds", ",".join(OOD_KINDS), "--seed", "0") == 0
+    assert run("train", "--train-csv", str(d / "train.csv"), "--val-csv", str(d / "val.csv"),
+               "--out", str(d / "model.json"), "--epochs", "30", "--learning-rate", "1e-2") == 0
+    assert run("calibrate", "--checkpoint", str(d / "model.json"),
+               "--val-csv", str(d / "val.csv")) == 0
+    return d
+
+
+def _tied_rows(test):
+    """A row of class 0 and one of class 1 at each of four points 1e3 out:
+    the gate makes every u exactly 1, and any classifier gets one row of each
+    pair wrong, so theta, fitted on them, refers every row."""
+    points = np.repeat([[1e3, 0.0], [0.0, 1e3], [-1e3, 0.0], [0.0, -1e3]], 2, axis=0)
+    return Dataset(points, np.tile([0, 1], 4), 2)
+
+
+_ALL_REFERRED = {"n_total": 8, "n_evaluated": 0, "n_referred": 8, "referral_rate": 1.0,
+                 "available": False}
+# each degenerate input -> its test rows, made from the K = 2 test CSV; whether
+# theta is refitted on them; and the report fields it pins
+_DEGENERATE = {
+    "k2": (lambda test: test, False, {"unthresholded": {"n_total": 16, "n_evaluated": 16}}),
+    "one-row": (
+        lambda test: Dataset(test.features[:1], test.labels[:1], 2), False,
+        {"unthresholded": {"n_total": 1, "macro_auc": None, "auc_per_class": [None, None]}},
+    ),
+    "one-class": (
+        lambda test: Dataset(test.features[test.labels == 0], test.labels[test.labels == 0], 1),
+        False,
+        {"unthresholded": {"n_total": 8, "macro_auc": None, "auc_per_class": [None, None]}},
+    ),
+    "all-tied": (_tied_rows, True, {"threshold": 1.0, "thresholded": _ALL_REFERRED}),
+    # a lone last row joins the block before it
+    "lone-last-row": (
+        lambda test: Dataset(np.resize(test.features, (BLOCK_ROWS + 1, 2)),
+                             np.resize(test.labels, BLOCK_ROWS + 1), 2), False,
+        {"unthresholded": {"n_total": BLOCK_ROWS + 1, "n_evaluated": BLOCK_ROWS + 1}},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DEGENERATE))
+def test_degenerate_input_end_to_end(case, k2_dir, tmp_path, capsys):
+    rows, refit, pins = _DEGENERATE[case]
+    ckpt, csv = tmp_path / "model.json", tmp_path / "rows.csv"
+    shutil.copy(k2_dir / "model.json", ckpt)
+    save_csv(rows(load_csv(k2_dir / "test.csv")), csv)
+    if refit:
+        assert run("calibrate", "--checkpoint", str(ckpt), "--val-csv", str(csv)) == 0
+    report = tmp_path / "eval.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        assert run("eval", "--checkpoint", str(ckpt), "--test-csv", str(csv), "--thresholded",
+                   "--report", str(report)) == 0
+    sections = json.loads(report.read_text())["sections"]
+    # a class without both outcomes in a section's rows is skipped with a warning
+    skips = {f"ovr_auc: class {c} lacks positives or negatives; skipped" for c in (0, 1)}
+    assert {str(w.message) for w in caught} <= skips
+    if sections["unthresholded"]["macro_auc"] is None:
+        assert caught
+    for key, want in pins.items():
+        got = sections[key]
+        assert ({k: got[k] for k in want} if isinstance(want, dict) else got) == want, key
+    # the referral counts follow from theta and the rows' u alone
+    model, _, _, cal = load_checkpoint(ckpt)
+    referred = predict_records(model, load_csv(csv)).uncertainty >= cal.threshold
+    th = sections["thresholded"]
+    assert th["n_referred"] == np.count_nonzero(referred) == th["n_total"] - th["n_evaluated"]
+    assert th["available"] == (th["n_evaluated"] > 0) == (set(th) > set(_ALL_REFERRED))
+    assert ("all referred" in capsys.readouterr().out) == (not th["available"])
+    # ood-eval reads the same theta: a row is detected iff eval refers it
+    ood, paths = tmp_path / "ood.json", [str(k2_dir / f"ood_{kind}.csv") for kind in OOD_KINDS]
+    assert run("ood-eval", "--checkpoint", str(ckpt), "--report", str(ood),
+               "--ood-csv", *paths, str(csv)) == 0
+    files = json.loads(ood.read_text())["sections"]["files"]
+    want = {**dict.fromkeys(paths, 30), str(csv): len(referred)}
+    assert {p: f["n"] for p, f in files.items()} == want
+    assert files[str(csv)]["detection_rate"] == th["referral_rate"]
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,14 @@ def test_ood_far_cluster_margin(id_geometry):
     assert np.array_equal(ood.labels, np.full(300, OOD_LABEL))
 
 
+def test_ood_far_cluster_around_antipodal_centers():
+    # opposite centers have no bisector: the walk takes their perpendicular
+    centers = np.array([[4.0, 0.0], [-4.0, 0.0]])
+    ood = gen_ood("far_cluster", n=50, centers=centers, sigma=0.9, seed=3)
+    assert np.linalg.norm(ood.features[:, None, :] - centers[None], axis=2).min() > 9.0
+    assert abs(ood.features[:, 0].mean()) < 1.0 < ood.features[:, 1].mean()
+
+
 def test_ood_ring_band(id_geometry):
     centers, sigma = id_geometry
     max_radius = np.linalg.norm(centers, axis=1).max()

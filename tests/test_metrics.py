@@ -281,6 +281,18 @@ def test_ovr_auc_warns_and_skips_unrepresented_class():
     assert not np.isnan(macro)
 
 
+def test_ovr_auc_without_a_usable_class_answers_none():
+    # one class only: no class has both positives and negatives
+    probs = np.array([[0.9, 0.1], [0.6, 0.4], [0.7, 0.3]])
+    with pytest.warns(UserWarning) as record:
+        macro, per_class = ovr_auc(np.zeros(3, dtype=np.int64), probs)
+    assert macro is None
+    assert per_class.shape == (2,) and np.isnan(per_class).all()
+    assert [str(w.message) for w in record] == [
+        f"ovr_auc: class {c} lacks positives or negatives; skipped" for c in (0, 1)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # records
 
@@ -379,6 +391,15 @@ def test_evaluate_rejects_ood_labels():
     recs = from_scores(np.array([[0.9, 0.1]]), np.array([0.5]), np.array([-1]))
     with pytest.raises(ValueError):
         evaluate(recs)
+
+
+@pytest.mark.parametrize(
+    "n_total, n_evaluated, referred, rate, available",
+    [(4, 4, 0, 0.0, True), (4, 1, 3, 0.75, True), (4, 0, 4, 1.0, False), (0, 0, 0, 0.0, False)],
+)
+def test_report_derives_its_referral_figures(n_total, n_evaluated, referred, rate, available):
+    rep = MetricReport(n_total=n_total, n_evaluated=n_evaluated)
+    assert (rep.n_referred, rep.referral_rate, rep.available) == (referred, rate, available)
 
 
 def test_report_dict_shape():
